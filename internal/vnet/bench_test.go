@@ -12,8 +12,10 @@ import (
 // path without sockets: links carry a null transport, so the numbers
 // isolate table lookup, header handling, accounting, and buffer
 // management — the per-frame overhead the paper's "free measurement"
-// pitch depends on. CI runs these with -benchmem (see the bench job);
-// before/after tables live in docs/OPERATIONS.md.
+// pitch depends on. Frames enter through receiveDatagram, so each one
+// pays its arrival accounting and ACK as on a datagram link. CI runs
+// these with -benchmem (see the bench job); before/after tables live in
+// docs/OPERATIONS.md.
 
 type nullTransport struct{}
 
@@ -80,7 +82,7 @@ func BenchmarkDaemonTransitRelay(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		payload[0] = DefaultTTL // relay rewrites TTL in place
-		d.handleMessage(in, msgFrame, payload)
+		d.receiveDatagram(in, msgFrame, payload)
 	}
 	b.StopTimer()
 	if got := d.Stats().FramesForwarded; got != uint64(b.N) {
@@ -108,7 +110,7 @@ func BenchmarkDaemonTransitRelayRing(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		payload[0] = DefaultTTL
-		d.handleMessage(in, msgFrame, payload)
+		d.receiveDatagram(in, msgFrame, payload)
 	}
 	b.StopTimer()
 	if got := d.Stats().FramesForwarded; got != uint64(b.N) {
@@ -139,7 +141,7 @@ func BenchmarkDaemonHandleFrameParallel(b *testing.B) {
 		payload := append([]byte(nil), proto...)
 		for pb.Next() {
 			payload[0] = DefaultTTL
-			d.handleMessage(in, msgFrame, payload)
+			d.receiveDatagram(in, msgFrame, payload)
 		}
 	})
 }
@@ -157,6 +159,6 @@ func BenchmarkDaemonFlood(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		payload[0] = DefaultTTL
-		d.handleMessage(in, msgFrame, payload)
+		d.receiveDatagram(in, msgFrame, payload)
 	}
 }

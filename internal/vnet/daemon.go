@@ -297,7 +297,11 @@ func (d *Daemon) handshake(conn net.Conn, initiator bool) error {
 }
 
 // handshakeNamed exchanges hello messages (initiator speaks first) and
-// registers the link.
+// registers the link. The acceptor installs its side before it replies:
+// once the dialer's Connect has returned, both daemons can look the link
+// up and route over it. Holding the new link's writeMu across install and
+// reply keeps the hello the first message on the wire even if forwarding
+// picks the link up at once.
 func (d *Daemon) handshakeNamed(conn net.Conn, initiator bool) (string, error) {
 	if initiator {
 		if err := writeMessage(conn, msgHello, []byte(d.name)); err != nil {
@@ -315,32 +319,43 @@ func (d *Daemon) handshakeNamed(conn net.Conn, initiator bool) (string, error) {
 	if peer == "" || peer == d.name {
 		return "", fmt.Errorf("vnet: invalid peer name %q", peer)
 	}
-	if !initiator {
-		if err := writeMessage(conn, msgHello, []byte(d.name)); err != nil {
-			return "", err
-		}
-	}
 	link := &Link{daemon: d, peer: peer, tr: &tcpTransport{conn: conn}}
-	if err := d.registerLink(link); err != nil {
+	if initiator {
+		err = d.installLink(link)
+	} else {
+		link.writeMu.Lock()
+		if err = d.installLink(link); err == nil {
+			if err = link.tr.send(msgHello, []byte(d.name)); err != nil {
+				d.dropLink(link)
+			}
+		}
+		link.writeMu.Unlock()
+	}
+	if err != nil {
 		return "", err
 	}
+	d.linkUp(link)
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
 		defer d.dropLink(link)
-		// One pooled buffer is reused across messages; it is replaced only
-		// when a message's bytes escape the call (local VM delivery or a
-		// control handler), so a pure transit stream performs zero
+		// The link's whole receive side is one fixed chunk buffer: each
+		// Read is one batch, acknowledged on arrival and then handled
+		// message by message. Nothing downstream keeps a reference into the
+		// buffer (local delivery copies), so a transit stream performs zero
 		// allocations per frame.
-		bufp := msgBufs.Get().(*[]byte)
-		defer func() { msgBufs.Put(bufp) }()
+		lr := newLinkReader(conn, d.met.LinkReads)
 		for {
-			typ, payload, err := readMessageInto(conn, bufp)
+			batch, err := lr.readBatch()
 			if err != nil {
 				return
 			}
-			if d.handleMessage(link, typ, payload) {
-				bufp = msgBufs.Get().(*[]byte)
+			link.batchArrived(batch)
+			for len(batch) > 0 {
+				var typ byte
+				var payload []byte
+				typ, payload, batch = nextMessage(batch)
+				d.handleMessage(link, typ, payload)
 			}
 		}
 	}()
@@ -349,6 +364,16 @@ func (d *Daemon) handshakeNamed(conn net.Conn, initiator bool) (string, error) {
 
 // registerLink stores a freshly handshaked link and fires the up callback.
 func (d *Daemon) registerLink(link *Link) error {
+	if err := d.installLink(link); err != nil {
+		return err
+	}
+	d.linkUp(link)
+	return nil
+}
+
+// installLink puts the link into the forwarding snapshot, replacing (and
+// closing) an older link to the same peer. It sends nothing on the link.
+func (d *Daemon) installLink(link *Link) error {
 	d.mu.Lock()
 	if d.closed {
 		d.mu.Unlock()
@@ -359,7 +384,6 @@ func (d *Daemon) registerLink(link *Link) error {
 	d.swapFwdLocked(func(t *fwdTable) { t.links[link.peer] = link })
 	d.met.Handshakes.Inc()
 	d.met.LinksOpened.Inc()
-	up := d.onLinkUp
 	log := d.log
 	d.mu.Unlock()
 	if old != nil {
@@ -370,13 +394,20 @@ func (d *Daemon) registerLink(link *Link) error {
 	if log != nil {
 		log.Info("link up", "peer", link.peer)
 	}
+	return nil
+}
+
+// linkUp tells the rest of the daemon about an installed link.
+func (d *Daemon) linkUp(link *Link) {
+	d.mu.RLock()
+	up := d.onLinkUp
+	d.mu.RUnlock()
 	if up != nil {
 		up(link.peer)
 	}
 	// A freshly (re)connected peer may own slices of the ring; push it any
 	// registrations it is missing (idempotent on the receiver).
 	d.announceOwnedTo(link.peer)
-	return nil
 }
 
 // dropLink tears a link down and removes it from the tables.
@@ -406,42 +437,39 @@ func (d *Daemon) dropLink(link *Link) {
 	}
 }
 
-// handleMessage processes one link message; shared by the TCP stream
-// reader and the UDP datagram demultiplexer. It reports whether payload
-// escaped the call (a VM port or control handler may retain it) — when
-// false the caller may reuse the buffer for the next message.
-func (d *Daemon) handleMessage(link *Link, typ byte, payload []byte) (retained bool) {
+// receiveDatagram is the receive step of the one-message-at-a-time
+// transports (virtual UDP, the in-memory test transport): arrival
+// accounting for the single message, then handling. The TCP reader does
+// the same two steps per read batch instead.
+func (d *Daemon) receiveDatagram(link *Link, typ byte, payload []byte) {
+	if end, ok := frameEnd(typ, payload); ok {
+		link.framesArrived(end)
+	}
+	d.handleMessage(link, typ, payload)
+}
+
+// handleMessage processes one link message whose arrival the receive loop
+// has already accounted for (Link.framesArrived). payload belongs to the
+// caller's receive buffer and is only valid during the call: a transit
+// frame is rewritten and sent from it in place, anything that outlives the
+// call (local VM delivery, control handlers) gets a copy.
+func (d *Daemon) handleMessage(link *Link, typ byte, payload []byte) {
 	switch typ {
 	case msgFrame:
 		if len(payload) < frameHeaderLen {
-			return false
+			return
 		}
 		link.frRecv.Add(1)
 		link.bRecv.Add(uint64(len(payload)))
-		seq := int64(binary.BigEndian.Uint64(payload[1:9]))
-		if end := seq + int64(len(payload)); end > link.recvBytes.Load() {
-			// Monotonic max under concurrent delivery (virtual-UDP demux
-			// and TCP readers may race on a re-registered link).
-			for {
-				cur := link.recvBytes.Load()
-				if end <= cur || link.recvBytes.CompareAndSwap(cur, end) {
-					break
-				}
-			}
-		}
-		// Acknowledge immediately (the self-clocking Wren observes).
-		// Highest-byte semantics keep the cumulative ACK meaningful even
-		// when virtual-UDP links lose datagrams.
-		link.sendAck(link.recvBytes.Load())
 		ttl := payload[0]
 		hdr, ok := ethernet.ParseHeader(payload[frameHeaderLen:])
 		if !ok {
-			return false
+			return
 		}
-		return d.relayFrame(payload, hdr, link.peer, ttl)
+		d.relayFrame(payload, hdr, link.peer, ttl)
 	case msgAck:
 		if len(payload) != 8 {
-			return false
+			return
 		}
 		cum := int64(binary.BigEndian.Uint64(payload))
 		link.ackedBytes.Store(cum)
@@ -453,24 +481,20 @@ func (d *Daemon) handleMessage(link *Link, typ byte, payload []byte) (retained b
 			IsAck: true,
 			Ack:   cum,
 		})
-		return false
 	case msgControl:
 		if bytes.HasPrefix(payload, ringRegPrefix) {
 			// Ring registrations are part of the overlay substrate, handled
 			// natively ahead of the user control handler.
 			d.handleRingReg(link.peer, payload)
-			return false
+			return
 		}
 		d.mu.RLock()
 		fn := d.onControl
 		d.mu.RUnlock()
 		if fn != nil {
-			fn(link.peer, payload)
-			return true // the handler may retain the payload
+			fn(link.peer, bytes.Clone(payload)) // the handler may retain it
 		}
-		return false
 	}
-	return false
 }
 
 // AttachVM registers a local VM's virtual interface: frames addressed to
@@ -614,9 +638,9 @@ func (d *Daemon) handleFrame(f *ethernet.Frame, fromPeer string, ttl byte) {
 // msgFrame payload ([ttl][seq:8][frame]): the 14-byte Ethernet header is
 // parsed in place and, on transit, TTL and per-link sequence are
 // rewritten directly in the received buffer — a relayed frame performs
-// zero heap allocations. It reports whether payload escaped (local
-// delivery materializes a Frame whose payload aliases the buffer).
-func (d *Daemon) relayFrame(payload []byte, hdr ethernet.Header, fromPeer string, ttl byte) (retained bool) {
+// zero heap allocations. Only local delivery materializes a Frame, from a
+// copy, because the receive buffer is reused as soon as the call returns.
+func (d *Daemon) relayFrame(payload []byte, hdr ethernet.Header, fromPeer string, ttl byte) {
 	d.learn(hdr.Src, fromPeer)
 	if hdr.Type == ethernet.TypeProbe {
 		// Rare by construction (probe trains, never application traffic);
@@ -624,37 +648,37 @@ func (d *Daemon) relayFrame(payload []byte, hdr ethernet.Header, fromPeer string
 		d.probeArrived(payload, fromPeer)
 	}
 	if hdr.Dst.IsBroadcast() {
-		return d.floodRaw(payload, hdr, fromPeer, ttl)
+		d.floodRaw(payload, hdr, fromPeer, ttl)
+		return
 	}
 	port, link := d.fwd.Load().route(hdr.Dst, fromPeer)
 	if port != nil {
-		f, err := ethernet.Unmarshal(payload[frameHeaderLen:])
+		f, err := ethernet.Unmarshal(bytes.Clone(payload[frameHeaderLen:]))
 		if err != nil {
-			return false
+			return
 		}
 		d.cnt.delivered.Add(1)
 		d.met.FramesDelivered.Inc()
 		port(f)
-		return true
+		return
 	}
 	if link == nil {
 		d.drop()
-		return false
+		return
 	}
 	// Transiting the overlay costs a hop.
 	if ttl <= 1 {
 		d.cnt.ttlExpired.Add(1)
 		d.met.TTLExpired.Inc()
-		return false
+		return
 	}
 	payload[0] = ttl - 1
 	if err := link.sendFramePayload(payload); err != nil {
 		d.drop()
-		return false
+		return
 	}
 	d.cnt.forwarded.Add(1)
 	d.met.FramesForwarded.Inc()
-	return false
 }
 
 // forward sends a VM-ingress frame toward a peer, assembling the msgFrame
@@ -737,10 +761,10 @@ func (d *Daemon) flood(f *ethernet.Frame, fromPeer string, ttl byte) {
 	msgBufs.Put(bufp)
 }
 
-// floodRaw is the relay-path flood: local ports get a materialized Frame
-// (only built if a port exists), peers get the raw payload with TTL and
-// sequence rewritten in place.
-func (d *Daemon) floodRaw(payload []byte, hdr ethernet.Header, fromPeer string, ttl byte) (retained bool) {
+// floodRaw is the relay-path flood: local ports get a Frame materialized
+// from a copy (only built if a port exists), peers get the raw payload
+// with TTL and sequence rewritten in place.
+func (d *Daemon) floodRaw(payload []byte, hdr ethernet.Header, fromPeer string, ttl byte) {
 	t := d.fwd.Load()
 	var f *ethernet.Frame
 	for mac, port := range t.vms {
@@ -749,17 +773,16 @@ func (d *Daemon) floodRaw(payload []byte, hdr ethernet.Header, fromPeer string, 
 		}
 		if f == nil {
 			var err error
-			if f, err = ethernet.Unmarshal(payload[frameHeaderLen:]); err != nil {
-				return retained
+			if f, err = ethernet.Unmarshal(bytes.Clone(payload[frameHeaderLen:])); err != nil {
+				return
 			}
 		}
 		port(f)
-		retained = true
 	}
 	if ttl <= 1 {
 		d.cnt.ttlExpired.Add(1)
 		d.met.TTLExpired.Inc()
-		return retained
+		return
 	}
 	payload[0] = ttl - 1
 	for peer, link := range t.links {
@@ -771,7 +794,6 @@ func (d *Daemon) floodRaw(payload []byte, hdr ethernet.Header, fromPeer string, 
 			d.met.FramesFlooded.Inc()
 		}
 	}
-	return retained
 }
 
 func (d *Daemon) drop() {

@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"fmt"
 	"sync"
 	"testing"
 	"time"
@@ -61,6 +62,35 @@ func pairT(t *testing.T) (*Daemon, *Daemon) {
 		return okA && okB
 	})
 	return a, b
+}
+
+// TestConnectReturnsWithBothSidesLinked: the acceptor installs its side of
+// a link before it answers the hello, so the moment Connect returns the
+// link can be looked up (SetRateMbps, rules) and used on both daemons.
+func TestConnectReturnsWithBothSidesLinked(t *testing.T) {
+	hub := NewDaemon("hub")
+	defer hub.Close()
+	addr, err := hub.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	dst := ethernet.VMMAC(1)
+	var sink collector
+	hub.AttachVM(dst, sink.port())
+	for i := 0; i < 100; i++ {
+		name := fmt.Sprintf("leaf%d", i)
+		leaf := NewDaemon(name)
+		defer leaf.Close()
+		if _, err := leaf.Connect(addr); err != nil {
+			t.Fatal(err)
+		}
+		if _, ok := hub.Link(name); !ok {
+			t.Fatalf("Connect %d returned before the acceptor had the link", i)
+		}
+		leaf.AddRule(dst, "hub")
+		leaf.InjectFrame(&ethernet.Frame{Dst: dst, Src: ethernet.VMMAC(2 + i), Type: ethernet.TypeApp})
+	}
+	waitFor(t, "a frame from every leaf", func() bool { return sink.count() == 100 })
 }
 
 func TestDirectForwardingWithRule(t *testing.T) {
@@ -213,23 +243,28 @@ func TestWrenFeedRecords(t *testing.T) {
 	var sink collector
 	b.AttachVM(dst, sink.port())
 	a.AddRule(dst, "b")
-	for i := 0; i < 10; i++ {
+	const frames = 10
+	for i := 0; i < frames; i++ {
 		a.InjectFrame(&ethernet.Frame{Dst: dst, Src: ethernet.VMMAC(1), Type: ethernet.TypeApp, Payload: make([]byte, 1000)})
 	}
-	waitFor(t, "acks", func() bool {
+	link, _ := a.Link("b")
+	sent, _, _ := link.SeqState()
+	// ACKs are cumulative, one per read batch at the receiver: wait for the
+	// one that covers everything sent, not for a fixed number of them.
+	waitFor(t, "covering ack record", func() bool {
 		mu.Lock()
 		defer mu.Unlock()
-		acks := 0
 		for _, r := range recs {
-			if r.IsAck {
-				acks++
+			if r.IsAck && r.Ack == sent {
+				return true
 			}
 		}
-		return acks == 10
+		return false
 	})
 	mu.Lock()
 	defer mu.Unlock()
 	var lastSeq, lastAck int64 = -1, -1
+	var acks, outs int
 	for _, r := range recs {
 		if r.Flow != (pcap.FlowKey{Local: "a", Remote: "b"}) {
 			t.Fatalf("flow = %+v", r.Flow)
@@ -239,16 +274,24 @@ func TestWrenFeedRecords(t *testing.T) {
 				t.Fatal("acks not cumulative")
 			}
 			lastAck = r.Ack
+			acks++
 		} else {
 			if r.Seq <= lastSeq {
 				t.Fatal("data seq not increasing")
 			}
 			lastSeq = r.Seq
+			outs++
 		}
 	}
+	if outs != frames {
+		t.Fatalf("%d departure records, want %d", outs, frames)
+	}
+	if acks < 1 || acks > frames {
+		t.Fatalf("%d ack records for %d frames, want 1..%d", acks, frames, frames)
+	}
 	// Last frame message: 1000 payload + 14 ethernet header + 9 (ttl+seq).
-	if lastAck != lastSeq+1023 {
-		t.Fatalf("final ack %d does not cover final seq %d + frame", lastAck, lastSeq)
+	if lastAck != sent || lastAck != lastSeq+1023 {
+		t.Fatalf("final ack %d, want sentBytes %d = final seq %d + frame", lastAck, sent, lastSeq)
 	}
 }
 

@@ -5,8 +5,12 @@
 // mapping destination MACs to links or local interfaces.
 //
 // Links carry length-prefixed messages over real TCP sockets (or the
-// virtual-UDP transport in udp.go). Each frame a link delivers is
-// acknowledged with a cumulative byte count; together with wall-clock
+// virtual-UDP transport in udp.go). TCP link I/O is batched on the
+// receive side only: every message leaves in one write, the reader pulls
+// the stream in 16 KiB reads, and each read that brought in frames is
+// acknowledged on arrival — before the frames are handled — with one
+// cumulative byte count (datagram links acknowledge per frame). Together
+// with wall-clock
 // timestamps on sends and ACK arrivals, this gives Wren the same
 // (departure, cumulative-ack) stream its kernel extension extracted from
 // TCP itself — the substitution documented in DESIGN.md, and the concrete

@@ -13,7 +13,7 @@ import (
 var errMemLinkDown = errors.New("vnet: mem link down")
 
 // memTransport delivers each message by invoking the peer daemon's
-// handleMessage on the caller's goroutine: the entire forwarding chain —
+// receiveDatagram on the caller's goroutine: the entire forwarding chain —
 // relay hops, acks, final VM delivery — completes before send returns,
 // which makes a scenario a pure function of its seed.
 //
@@ -35,7 +35,7 @@ func (m *memTransport) send(typ byte, payload []byte) error {
 	if l == nil {
 		return errMemLinkDown
 	}
-	m.peer.handleMessage(l, typ, payload)
+	m.peer.receiveDatagram(l, typ, payload)
 	return nil
 }
 

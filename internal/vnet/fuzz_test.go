@@ -3,7 +3,6 @@ package vnet
 import (
 	"bytes"
 	"encoding/binary"
-	"io"
 	"testing"
 
 	"freemeasure/internal/ethernet"
@@ -51,40 +50,32 @@ func FuzzReadMessage(f *testing.F) {
 	})
 }
 
-// FuzzReadMessageInto exercises the pooled-buffer variant with a reused
-// buffer across two decodes, which is exactly how the link read loop
-// calls it: the second decode must not be corrupted by the first.
+// FuzzReadMessageInto is the differential fuzzer for the link's chunked
+// reader (it keeps the name of the pooled-buffer reader it replaced): the
+// stream a‖b, delivered in arbitrary pieces chosen by split, must decode
+// through linkReader to the same (type, payload) sequence and end in the
+// same error as repeated readMessage calls over the whole stream.
 func FuzzReadMessageInto(f *testing.F) {
-	var one, two bytes.Buffer
+	var one, two, ack, big bytes.Buffer
 	writeMessage(&one, msgFrame, bytes.Repeat([]byte{0xaa}, 100))
 	writeMessage(&two, msgControl, []byte("x"))
-	f.Add(one.Bytes(), two.Bytes())
-	f.Add([]byte{}, []byte{})
+	f.Add(one.Bytes(), two.Bytes(), uint64(0))
+	f.Add([]byte{}, []byte{}, uint64(1))
+	// A batch of several messages in one piece, then a cut mid-header.
+	writeMessage(&ack, msgAck, []byte{0, 0, 0, 0, 0, 0, 4, 0})
+	f.Add(bytes.Repeat(one.Bytes(), 3), ack.Bytes()[:3], uint64(2))
+	// A message larger than the chunk buffer followed by a small one.
+	writeMessage(&big, msgControl, bytes.Repeat([]byte{0x5a}, readChunk+100))
+	f.Add(big.Bytes(), two.Bytes(), uint64(3))
+	// Over-limit length after a good message; EOF mid-payload.
+	f.Add(one.Bytes(), []byte{msgFrame, 0xff, 0xff, 0xff, 0xff, 1, 2}, uint64(4))
+	f.Add(one.Bytes(), one.Bytes()[:40], uint64(5))
 
-	f.Fuzz(func(t *testing.T, a, b []byte) {
-		buf := make([]byte, 0, 16)
-		r := io.MultiReader(bytes.NewReader(a), bytes.NewReader(b))
-		var payloads [][]byte
-		for i := 0; i < 2; i++ {
-			_, payload, err := readMessageInto(r, &buf)
-			if err != nil {
-				break
-			}
-			// The payload aliases buf; snapshot it before the next decode
-			// reuses the backing array.
-			payloads = append(payloads, append([]byte(nil), payload...))
-		}
-		// Cross-check against the fresh-buffer decoder over the same stream.
-		r2 := io.MultiReader(bytes.NewReader(a), bytes.NewReader(b))
-		for i := 0; i < len(payloads); i++ {
-			_, payload, err := readMessage(r2)
-			if err != nil {
-				t.Fatalf("decode %d: pooled succeeded, fresh failed: %v", i, err)
-			}
-			if !bytes.Equal(payload, payloads[i]) {
-				t.Fatalf("decode %d: pooled %d bytes != fresh %d bytes", i, len(payloads[i]), len(payload))
-			}
-		}
+	f.Fuzz(func(t *testing.T, a, b []byte, split uint64) {
+		stream := append(append([]byte(nil), a...), b...)
+		want, wantErr := decodeReference(bytes.NewReader(stream))
+		got, gotErr := decodeChunked(&splitReader{data: stream, state: split})
+		compareDecodes(t, got, gotErr, want, wantErr)
 	})
 }
 

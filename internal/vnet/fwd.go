@@ -13,7 +13,7 @@ import (
 // copy-on-write MAC tables that keep high-cardinality state (bridge
 // learning, ring registrations) off the snapshot-swap path, the bounded
 // feed ring that decouples Wren ingest from forwarding, and the
-// message-buffer pool behind the zero-copy relay.
+// send-side message-buffer pool.
 
 // macTableBuckets stripes the MAC location tables; a write copies one
 // bucket (1/256th of the table), a read is one atomic load plus a map
@@ -370,12 +370,10 @@ func (d *Daemon) ringDrainAndDeliver(r *feedRing, scratch []pcap.Record) []pcap.
 	return batch
 }
 
-// msgBufs recycles message payload buffers between the link read loops,
-// the relay path, and the frame send path. A transit frame lives its
-// whole life in one pooled buffer: read in place, TTL/seq rewritten in
-// place, written out, reused. Buffers only leave the cycle when a frame
-// is delivered to a local VM port or a control payload is handed to a
-// handler (either may retain the bytes).
+// msgBufs recycles the buffers in which locally originated frames (VM
+// ingress, floods of VM broadcasts, probe trains) are assembled before
+// they are sent. Received frames never pass through it: a transit frame
+// is rewritten and sent from the link reader's own buffer.
 var msgBufs = sync.Pool{New: func() any {
 	b := make([]byte, 0, 2048)
 	return &b

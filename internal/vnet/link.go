@@ -28,11 +28,23 @@ type transport interface {
 	kind() string // "tcp" or "udp"
 }
 
-// tcpTransport wraps a stream connection.
-type tcpTransport struct{ conn net.Conn }
+// tcpTransport wraps a stream connection. Every message leaves in one
+// write: header and payload are assembled contiguously in wbuf, which is
+// reused across sends (zero allocations in steady state). All TCP sends
+// run under the owning Link's writeMu, which is what guards wbuf.
+type tcpTransport struct {
+	conn net.Conn
+	wbuf []byte
+}
 
 func (t *tcpTransport) send(typ byte, payload []byte) error {
-	return writeMessage(t.conn, typ, payload)
+	msg, err := appendMessage(t.wbuf[:0], typ, payload)
+	if err != nil {
+		return err
+	}
+	t.wbuf = msg
+	_, err = t.conn.Write(msg)
+	return err
 }
 func (t *tcpTransport) close()       { t.conn.Close() }
 func (t *tcpTransport) kind() string { return "tcp" }
@@ -173,6 +185,56 @@ func (l *Link) sendFramePayload(payload []byte) error {
 		Len:  len(payload),
 	})
 	return nil
+}
+
+// frameEnd returns the cumulative byte count a received message advances
+// the link to (seq + payload length); ok is false for anything but a
+// well-formed msgFrame.
+func frameEnd(typ byte, payload []byte) (end int64, ok bool) {
+	if typ != msgFrame || len(payload) < frameHeaderLen {
+		return 0, false
+	}
+	return int64(binary.BigEndian.Uint64(payload[1:frameHeaderLen])) + int64(len(payload)), true
+}
+
+// framesArrived is the link's arrival accounting: frames up to cumulative
+// byte end have reached this daemon, so recvBytes advances and one
+// cumulative ACK goes back at once — before the frames are handled, so the
+// sender's RTT (the self-clocking Wren observes) measures this link and
+// never a downstream link's throttle or back-pressure. Each receive loop
+// calls it at its own granularity: the TCP reader once per read batch, the
+// datagram transports once per frame. Highest-byte semantics keep the ACK
+// meaningful when virtual-UDP links lose or reorder datagrams.
+func (l *Link) framesArrived(end int64) {
+	// Monotonic max under concurrent delivery (virtual-UDP demux and TCP
+	// readers may race on a re-registered link).
+	for {
+		cur := l.recvBytes.Load()
+		if end <= cur || l.recvBytes.CompareAndSwap(cur, end) {
+			break
+		}
+	}
+	// A failed send is not handled here: the dead link surfaces as the
+	// receive loop's own read error.
+	_ = l.sendAck(l.recvBytes.Load())
+	l.daemon.met.AcksSent.Inc()
+}
+
+// batchArrived runs the arrival accounting for one TCP read batch: a
+// single cumulative ACK covering every complete frame the read brought in.
+func (l *Link) batchArrived(batch []byte) {
+	end, found := int64(0), false
+	for len(batch) > 0 {
+		var typ byte
+		var payload []byte
+		typ, payload, batch = nextMessage(batch)
+		if e, ok := frameEnd(typ, payload); ok {
+			end, found = max(end, e), true
+		}
+	}
+	if found {
+		l.framesArrived(end)
+	}
 }
 
 // sendAck writes a cumulative acknowledgment (not rate limited: acks are

@@ -19,6 +19,8 @@ type Metrics struct {
 	FramesDropped   *obs.Counter // vnet_frames_dropped_total
 	TTLExpired      *obs.Counter // vnet_ttl_expired_total
 	BytesSent       *obs.Counter // vnet_bytes_sent_total
+	LinkReads       *obs.Counter // vnet_link_reads_total
+	AcksSent        *obs.Counter // vnet_acks_sent_total
 	Handshakes      *obs.Counter // vnet_handshakes_total
 	LinksOpened     *obs.Counter // vnet_link_up_total
 	LinksClosed     *obs.Counter // vnet_link_down_total
@@ -52,6 +54,10 @@ func NewMetrics(reg *obs.Registry) Metrics {
 			"Frames discarded because the overlay hop limit expired."),
 		BytesSent: reg.Counter("vnet_bytes_sent_total",
 			"Payload bytes sent over overlay links (frames, all peers)."),
+		LinkReads: reg.Counter("vnet_link_reads_total",
+			"Read syscalls issued by TCP link readers; frames received / reads is the live receive coalescing ratio."),
+		AcksSent: reg.Counter("vnet_acks_sent_total",
+			"Cumulative ACKs sent: one per TCP read batch that brought in a frame, one per frame on datagram links."),
 		Handshakes: reg.Counter("vnet_handshakes_total",
 			"Completed link handshakes (TCP hello exchanges and virtual-UDP hellos)."),
 		LinksOpened: reg.Counter("vnet_link_up_total",

@@ -32,6 +32,25 @@ func TestProbeTrainDiesAtPeerAndFeedsWren(t *testing.T) {
 		sent, _, acked := link.SeqState()
 		return sent > 0 && acked >= sent
 	})
+	// SeqState moves on the link's own goroutines; the records reach the
+	// sink later, from the analyzer goroutine. Wait on the records.
+	count := func() (outs, acks int) {
+		mu.Lock()
+		defer mu.Unlock()
+		for _, r := range recs {
+			switch {
+			case r.Dir == pcap.Out && !r.IsAck:
+				outs++
+			case r.Dir == pcap.In && r.IsAck:
+				acks++
+			}
+		}
+		return outs, acks
+	}
+	waitFor(t, "probe departures and an ACK in the feed", func() bool {
+		outs, acks := count()
+		return outs >= 10 && acks >= 1
+	})
 
 	if got := sink.count(); got != 0 {
 		t.Fatalf("probe frames delivered to a VM: %d", got)
@@ -42,22 +61,8 @@ func TestProbeTrainDiesAtPeerAndFeedsWren(t *testing.T) {
 			bs.FramesDelivered, bs.FramesForwarded)
 	}
 
-	mu.Lock()
-	defer mu.Unlock()
-	var outs, acks int
-	for _, r := range recs {
-		switch {
-		case r.Dir == pcap.Out && !r.IsAck:
-			outs++
-		case r.Dir == pcap.In && r.IsAck:
-			acks++
-		}
-	}
-	if outs != 10 {
+	if outs, _ := count(); outs != 10 {
 		t.Fatalf("wren saw %d probe departures, want 10", outs)
-	}
-	if acks == 0 {
-		t.Fatal("wren saw no returning ACKs for the probe train")
 	}
 }
 

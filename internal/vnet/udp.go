@@ -82,19 +82,15 @@ type udpTransport struct {
 }
 
 func (t *udpTransport) send(typ byte, payload []byte) error {
-	if len(payload)+5 > maxDatagram {
+	if len(payload)+msgHeaderLen > maxDatagram {
 		return fmt.Errorf("vnet: udp message %d bytes exceeds datagram limit", len(payload))
 	}
 	t.sendMu.Lock()
-	n := 5 + len(payload)
-	if cap(t.sendBuf) < n {
-		t.sendBuf = make([]byte, n)
+	msg, err := appendMessage(t.sendBuf[:0], typ, payload)
+	if err == nil {
+		t.sendBuf = msg
+		_, err = t.sock.WriteToUDP(msg, t.raddr)
 	}
-	buf := t.sendBuf[:n]
-	buf[0] = typ
-	binary.BigEndian.PutUint32(buf[1:5], uint32(len(payload)))
-	copy(buf[5:], payload)
-	_, err := t.sock.WriteToUDP(buf, t.raddr)
 	t.sendMu.Unlock()
 	t.tx.Inc()
 	return err
@@ -149,34 +145,25 @@ func (d *Daemon) UDPAddr() (string, bool) {
 }
 
 func (d *Daemon) udpReadLoop(sock *net.UDPConn) {
+	// Messages are handled straight out of the socket buffer: nothing
+	// downstream keeps a reference into it (local delivery copies).
 	recv := make([]byte, maxDatagram+1)
-	// Message payloads are copied out of the socket buffer into a pooled
-	// buffer that is reused datagram to datagram, and replaced only when
-	// the payload escapes (local delivery, control handlers) — the same
-	// zero-allocation regime as the TCP read loop.
-	bufp := msgBufs.Get().(*[]byte)
-	defer func() { msgBufs.Put(bufp) }()
 	for {
 		n, raddr, err := sock.ReadFromUDP(recv)
 		if err != nil {
 			return
 		}
 		d.met.UDPDatagramsRx.Inc()
-		if n < 5 {
+		if n < msgHeaderLen {
 			d.met.UDPMalformed.Inc()
 			continue
 		}
 		typ := recv[0]
-		ln := binary.BigEndian.Uint32(recv[1:5])
-		if int(ln) != n-5 {
+		payload := recv[msgHeaderLen:n]
+		if ln := binary.BigEndian.Uint32(recv[1:msgHeaderLen]); int(ln) != len(payload) {
 			d.met.UDPMalformed.Inc()
 			continue // malformed datagram framing
 		}
-		if cap(*bufp) < n-5 {
-			*bufp = make([]byte, n-5)
-		}
-		payload := (*bufp)[:n-5]
-		copy(payload, recv[5:n])
 		key := raddr.String()
 
 		u := d.udp.Load()
@@ -214,9 +201,7 @@ func (d *Daemon) udpReadLoop(sock *net.UDPConn) {
 		if link == nil {
 			continue // non-hello traffic from an unknown peer
 		}
-		if d.handleMessage(link, typ, payload) {
-			bufp = msgBufs.Get().(*[]byte)
-		}
+		d.receiveDatagram(link, typ, payload)
 	}
 }
 
