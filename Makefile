@@ -2,7 +2,7 @@
 
 GO ?= go
 
-.PHONY: build test race bench relaybench relaybench-baseline vttifbench vttifbench-baseline scale chaos coordtest estbench fmt vet
+.PHONY: build test race bench relaybench relaybench-baseline vttifbench vttifbench-baseline scale chaos coordtest estbench fmt vet loc
 
 build:
 	$(GO) build ./...
@@ -85,3 +85,14 @@ fmt:
 
 vet:
 	$(GO) vet ./...
+
+# Non-test Go lines per package and in total, over tracked files, with the
+# benchmark harness (cmd/meshbench, internal/bench) left out. ROADMAP item
+# 3 asks every consolidation PR to quote this before and after in
+# CHANGES.md.
+loc:
+	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^internal/bench/\|^cmd/meshbench/' | \
+		xargs wc -l | awk '$$2 != "total" { dir = $$2; if (!sub("/[^/]*$$", "", dir)) dir = "."; \
+			loc[dir] += $$1; total += $$1 } \
+			END { for (d in loc) printf "%7d %s\n", loc[d], d | "sort -k2"; close("sort -k2"); \
+			printf "%7d total\n", total }'

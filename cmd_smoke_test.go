@@ -183,3 +183,25 @@ func TestSmokeVnetdInterrupt(t *testing.T) {
 		t.Fatalf("vnetd exit code after SIGINT = %d, want 0", code)
 	}
 }
+
+// TestSmokeOverlayExample: examples/overlay — the whole closed loop on
+// real sockets, through core.System's controller — runs to completion and
+// actually moves the VM off the rate-limited host.
+func TestSmokeOverlayExample(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	out, err := exec.Command("go", "run", "./examples/overlay").CombinedOutput()
+	if err != nil {
+		t.Fatalf("examples/overlay: %v\n%s", err, out)
+	}
+	var after string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "after adaptation:") {
+			after = line
+		}
+	}
+	if after == "" || strings.Contains(after, "slowhost") {
+		t.Fatalf("want an \"after adaptation\" line naming a host other than slowhost, got %q in:\n%s", after, out)
+	}
+}

@@ -59,27 +59,41 @@ func main() {
 		}
 	}()
 
-	// Let Wren and VTTIF observe.
-	fmt.Println("measuring passively for 3 seconds...")
-	time.Sleep(3 * time.Second)
-
+	// Let Wren and VTTIF observe until both active legs are measured. The
+	// first trains through a loaded link can underestimate it, so wait for
+	// the fast leg to read as fast in both directions (or 15 s).
+	fmt.Println("measuring passively...")
+	measured := func(a, b string) float64 {
+		if p, ok := sys.Overlay().View.Path(a, b); ok && p.BWFound {
+			return p.Mbps
+		}
+		return 0
+	}
+	for deadline := time.Now().Add(15 * time.Second); time.Now().Before(deadline); time.Sleep(100 * time.Millisecond) {
+		if slow := measured("slowhost", "proxy"); slow > 0 && slow < 40 &&
+			measured("fast1", "proxy") > 20 && measured("proxy", "fast1") > 20 {
+			break
+		}
+	}
 	for _, pair := range [][2]string{{"fast1", "proxy"}, {"slowhost", "proxy"}} {
 		if p, ok := sys.Overlay().View.Path(pair[0], pair[1]); ok && p.BWFound {
 			fmt.Printf("wren: %s -> %s  %.1f Mbit/s (%s)\n", pair[0], pair[1], p.Mbps, p.Kind)
 		}
 	}
 
-	plan, err := sys.AdaptOnce()
-	if err != nil {
-		log.Fatal(err)
+	// One turn of the loop: sense the Proxy's views, let VADAPT decide,
+	// apply the plan transactionally.
+	res := sys.Controller().RunCycle()
+	if res.Err != nil {
+		log.Fatal(res.Err)
 	}
-	fmt.Printf("\nVADAPT plan: objective score %.2f, %d migration(s), %d forwarding rule(s)\n",
-		plan.Eval.Score, len(plan.Migrations), len(plan.Rules))
-	for _, m := range plan.Migrations {
-		fmt.Printf("  migrate VM index %d: host %v -> host %v\n", m.VM, m.From, m.To)
+	if !res.Applied {
+		log.Fatalf("no adaptation: %s", res.Reason)
 	}
-	if err := sys.Apply(plan); err != nil {
-		log.Fatal(err)
+	fmt.Printf("\nVADAPT cycle %d: objective score %.2f -> %.2f, %d step(s) applied\n",
+		res.Cycle, res.Current.Score, res.Target.Score, res.Result.Applied)
+	for _, st := range res.Result.Steps {
+		fmt.Printf("  %s: %s\n", st.Outcome, st.Desc)
 	}
 	fmt.Printf("\nafter adaptation: VM2 is now on %q\n", v2.Daemon().Name())
 

@@ -7,7 +7,7 @@ import (
 
 // WallClock is real time: Now is time.Now and tickers are time.Tickers.
 // It satisfies the clock interfaces of packages that accept a pluggable
-// time source (e.g. core.AutoAdaptConfig.Clock).
+// time source (e.g. core.AutoAdaptConfig.Clock, which uses only Ticker).
 type WallClock struct{}
 
 // Now returns the wall-clock time.

@@ -24,8 +24,9 @@
 //     backoff, the feed ring never blocking the data plane).
 //
 // FakeClock is the harness's deterministic time source: components that
-// accept a clock (core.AutoAdaptConfig.Clock, Runner.Play) can be driven
-// tick by tick instead of sleeping wall time.
+// accept a clock (the core.AutoAdapter cycle scheduler via
+// AutoAdaptConfig.Clock, Runner.Play) can be driven tick by tick instead
+// of sleeping wall time.
 //
 // Fault applications and clearances are recorded three ways: in the
 // Runner's deterministic Log (the replay artifact), as flight-recorder

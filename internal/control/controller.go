@@ -1,10 +1,14 @@
 package control
 
 import (
+	"bytes"
+	"cmp"
 	"fmt"
 	"log/slog"
 	"math"
+	"slices"
 	"sort"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -612,28 +616,12 @@ func (c *Controller) DebugState() any {
 			st.Installed.Paths[key] = append([]string(nil), names...)
 		}
 	}
-	for site, next := range c.installedRules {
+	for _, site := range sortedKeys(c.installedRules, compareSites) {
 		st.Installed.Rules = append(st.Installed.Rules, installedRule{
-			Host: site.Host, MAC: site.MAC.String(), NextHop: next})
+			Host: site.Host, MAC: site.MAC.String(), NextHop: c.installedRules[site]})
 	}
-	for key := range c.installedLinks {
-		st.Installed.Links = append(st.Installed.Links, key)
-	}
+	st.Installed.Links = sortedKeys(c.installedLinks, compareLinks)
 	c.mu.Unlock()
-	sort.Slice(st.Installed.Rules, func(i, j int) bool {
-		a, b := st.Installed.Rules[i], st.Installed.Rules[j]
-		if a.Host != b.Host {
-			return a.Host < b.Host
-		}
-		return a.MAC < b.MAC
-	})
-	sort.Slice(st.Installed.Links, func(i, j int) bool {
-		a, b := st.Installed.Links[i], st.Installed.Links[j]
-		if a[0] != b[0] {
-			return a[0] < b[0]
-		}
-		return a[1] < b[1]
-	})
 
 	if last, ok := c.LastCycle(); ok {
 		lc := &lastCycleState{
@@ -718,6 +706,25 @@ func desiredState(snap *Snapshot, target *vadapt.Config) (map[ruleSite]string, m
 	return rules, links
 }
 
+// compareSites orders rule sites by host, then by MAC bytes.
+func compareSites(a, b ruleSite) int {
+	return cmp.Or(strings.Compare(a.Host, b.Host), bytes.Compare(a.MAC[:], b.MAC[:]))
+}
+
+// compareLinks orders normalized link keys.
+func compareLinks(a, b [2]string) int { return slices.Compare(a[:], b[:]) }
+
+// sortedKeys returns m's keys in compare order: the controller's beliefs live
+// in maps, and nothing it emits may inherit their iteration order.
+func sortedKeys[K comparable, V any](m map[K]V, compare func(a, b K) int) []K {
+	keys := make([]K, 0, len(m))
+	for k := range m {
+		keys = append(keys, k)
+	}
+	slices.SortFunc(keys, compare)
+	return keys
+}
+
 func nameKey(a, b string) [2]string {
 	if a > b {
 		a, b = b, a
@@ -759,15 +766,18 @@ func (c *Controller) translate(snap *Snapshot, diff vadapt.Plan, target *vadapt.
 		}
 	}
 	rules, links := desiredState(snap, target)
+	// Teardown is emitted sorted — rules by host then MAC, links by key —
+	// so the same snapshot sequence yields the same plan (and the same
+	// flight-recorder trace) on every run, not map-iteration order.
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for site := range c.installedRules {
+	for _, site := range sortedKeys(c.installedRules, compareSites) {
 		if _, want := rules[site]; !want && !removedRules[site] {
 			plan.Steps = append(plan.Steps, vnet.Step{
 				Op: vnet.OpRemoveRule, Host: site.Host, MAC: site.MAC})
 		}
 	}
-	for key := range c.installedLinks {
+	for _, key := range sortedKeys(c.installedLinks, compareLinks) {
 		if !links[key] && !removedLinks[key] {
 			plan.Steps = append(plan.Steps, vnet.Step{
 				Op: vnet.OpRemoveLink, A: key[0], B: key[1]})

@@ -6,6 +6,8 @@ import (
 	"errors"
 	"fmt"
 	"net/http/httptest"
+	"reflect"
+	"slices"
 	"strings"
 	"testing"
 	"time"
@@ -545,5 +547,72 @@ func TestDebugStateAfterCycle(t *testing.T) {
 	}
 	if len(st.Installed.Rules) == 0 {
 		t.Fatalf("no installed rules in state: %+v", st.Installed)
+	}
+}
+
+// TestTeardownPlanIsDeterministic: the teardown steps for vanished demands
+// come out of the installed-rule and installed-link maps, and must not
+// inherit their iteration order — the same snapshot sequence has to yield
+// the same plan (and so the same flight-recorder trace) on every run.
+func TestTeardownPlanIsDeterministic(t *testing.T) {
+	hosts := []string{"h0", "h1", "h2", "h3", "h4", "h5"}
+	mkSnap := func(demands ...[2]vadapt.VMID) *Snapshot {
+		g := topology.Complete(len(hosts), func(a, b topology.NodeID) (float64, float64) { return 10, 1 })
+		snap := &Snapshot{Problem: &vadapt.Problem{Hosts: g, NumVMs: len(hosts)}, Hosts: hosts}
+		for i, h := range hosts {
+			g.SetName(topology.NodeID(i), h)
+			snap.VMs = append(snap.VMs, ethernet.VMMAC(i))
+			snap.Mapping = append(snap.Mapping, topology.NodeID(i))
+		}
+		for _, d := range demands {
+			snap.Problem.Demands = append(snap.Problem.Demands, vadapt.Demand{Src: d[0], Dst: d[1], Rate: 1})
+		}
+		return snap
+	}
+	// Ten demands install ten rules and ten links; then all of them vanish
+	// and one pair that never talked before takes over.
+	busy := mkSnap([2]vadapt.VMID{0, 1}, [2]vadapt.VMID{1, 2}, [2]vadapt.VMID{2, 3}, [2]vadapt.VMID{3, 4},
+		[2]vadapt.VMID{4, 5}, [2]vadapt.VMID{5, 0}, [2]vadapt.VMID{0, 2}, [2]vadapt.VMID{1, 3},
+		[2]vadapt.VMID{2, 4}, [2]vadapt.VMID{3, 5})
+	quiet := mkSnap([2]vadapt.VMID{0, 3})
+
+	var first []vnet.Step
+	for run := 0; run < 20; run++ {
+		src := &StaticSource{Snap: busy}
+		c, err := New(Config{Source: src, Applier: LogApplier{}})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res := c.RunCycle(); res.Err != nil || !res.Applied {
+			t.Fatalf("run %d, busy cycle: %s", run, res.Summary())
+		}
+		src.Snap = quiet
+		res := c.RunCycle()
+		if res.Err != nil || !res.Applied {
+			t.Fatalf("run %d, quiet cycle: %s", run, res.Summary())
+		}
+		if run > 0 {
+			if !reflect.DeepEqual(res.Plan.Steps, first) {
+				t.Fatalf("run %d emitted a differently ordered plan:\n%v\nfirst run:\n%v", run, res.Plan.Steps, first)
+			}
+			continue
+		}
+		first = res.Plan.Steps
+		var rules []ruleSite
+		var links [][2]string
+		for _, s := range first {
+			switch s.Op {
+			case vnet.OpRemoveRule:
+				rules = append(rules, ruleSite{Host: s.Host, MAC: s.MAC})
+			case vnet.OpRemoveLink:
+				links = append(links, [2]string{s.A, s.B})
+			}
+		}
+		if len(rules) < 8 || len(links) < 8 {
+			t.Fatalf("teardown has %d rules and %d links, want at least 8 of each:\n%v", len(rules), len(links), first)
+		}
+		if !slices.IsSortedFunc(rules, compareSites) || !slices.IsSortedFunc(links, compareLinks) {
+			t.Fatalf("teardown not sorted (rules by host then MAC, links by key):\n%v", first)
+		}
 	}
 }

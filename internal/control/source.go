@@ -1,7 +1,9 @@
 package control
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"sort"
 	"time"
 
@@ -177,96 +179,180 @@ func (f *Fusion) fuse(bw float64, prov PathProvenance) (float64, PathProvenance)
 	return mbps, prov
 }
 
-func (s *ViewSource) defaults() (hub string, bw, lat float64) {
-	hub, bw, lat = s.Hub, s.DefaultLinkMbps, s.DefaultLatencyMs
-	if hub == "" {
-		hub = "proxy"
-	}
-	if bw == 0 {
-		bw = 100
-	}
-	if lat == 0 {
-		lat = 1
-	}
-	return hub, bw, lat
+// reading is one link's answer for a host pair: zero latMs means "not
+// measured, keep the default", a zero at means "no timestamp".
+type reading struct {
+	source  string
+	mbps    float64
+	latMs   float64
+	kind    string
+	quality float64
+	at      time.Time
 }
 
-// views enumerates the distinct shard views to aggregate over: View
-// first, then Shards, skipping nils and duplicates.
-func (s *ViewSource) views() []*vnet.GlobalView {
-	out := make([]*vnet.GlobalView, 0, 1+len(s.Shards))
-	seen := make(map[*vnet.GlobalView]bool, 1+len(s.Shards))
-	for _, v := range append([]*vnet.GlobalView{s.View}, s.Shards...) {
-		if v == nil || seen[v] {
-			continue
-		}
-		seen[v] = true
-		out = append(out, v)
-	}
-	return out
+// link is one rung of the sense chain: a lookup for an exact direction,
+// and the provenance its answers carry when found forward and in reverse.
+type link struct {
+	look     func(from, to string) (reading, bool)
+	fwd, rev string
 }
 
-// lookupPath finds the pair's measurement across all shard views,
-// preferring the freshest when several shards have one (a host that
-// re-homed leaves a stale copy at its old shard).
-func (s *ViewSource) lookupPath(from, to string) (vnet.PathMeasurement, bool) {
-	var best vnet.PathMeasurement
-	found := false
-	for _, v := range s.views() {
-		p, ok := v.Path(from, to)
-		if !ok {
-			continue
-		}
-		if !found || p.UpdatedAt.After(best.UpdatedAt) {
-			best, found = p, true
-		}
-	}
-	return best, found
-}
-
-// measuredPath returns a usable Wren measurement for the pair, trying the
-// requested direction first and then the reverse, and says which one it
-// used. Overlay paths are near-symmetric, so the reverse measurement beats
-// a fabricated default: passive measurement only ever sees the direction
+// try asks the link for the pair, demanded direction first, then reverse.
+// Overlay paths are near-symmetric, so the reverse measurement beats a
+// fabricated default: passive measurement only ever sees the direction
 // the application sends in, and an optimistic default on the silent
 // reverse direction makes swapping a VM pair look like a large objective
 // gain when it changes nothing.
-func (s *ViewSource) measuredPath(from, to string) (vnet.PathMeasurement, string, bool) {
-	if p, ok := s.lookupPath(from, to); ok && p.BWFound && p.Mbps > 0 {
-		return p, "direct", true
+func (l link) try(from, to string) (reading, bool) {
+	if r, ok := l.look(from, to); ok {
+		r.source = l.fwd
+		return r, true
 	}
-	if p, ok := s.lookupPath(to, from); ok && p.BWFound && p.Mbps > 0 {
-		return p, "reverse", true
+	if r, ok := l.look(to, from); ok {
+		r.source = l.rev
+		return r, true
 	}
-	return vnet.PathMeasurement{}, "", false
+	return reading{}, false
 }
 
-// mapEntry consults the published bandwidth map for the pair, demanded
-// direction first, then reverse.
-func (s *ViewSource) mapEntry(from, to string) (coord.MapEntry, bool) {
-	if s.Map == nil {
-		return coord.MapEntry{}, false
+// sense is the per-Snapshot sensing context: the distinct shard views and
+// the published map are resolved once, not once per host pair, and every
+// pair is answered by the same ordered chain —
+//
+//	live shard views -> published bandwidth map -> hub-leg composition -> defaults
+//
+// — the first two tried in both directions.
+type sense struct {
+	views         []*vnet.GlobalView
+	chain         []link
+	hub           string
+	defBW, defLat float64
+	fusion        *Fusion
+}
+
+// newSense resolves the source's configuration for one snapshot. The
+// live-view link aggregates View and Shards (nils and duplicates skipped);
+// the map link is present only when a map has been published.
+func (s *ViewSource) newSense() *sense {
+	sn := &sense{
+		hub:    cmp.Or(s.Hub, "proxy"),
+		defBW:  cmp.Or(s.DefaultLinkMbps, 100),
+		defLat: cmp.Or(s.DefaultLatencyMs, 1),
+		fusion: s.Fusion,
 	}
-	m := s.Map()
-	if m == nil {
-		return coord.MapEntry{}, false
+	for _, v := range append([]*vnet.GlobalView{s.View}, s.Shards...) {
+		if v != nil && !slices.Contains(sn.views, v) {
+			sn.views = append(sn.views, v)
+		}
 	}
-	if e, ok := m.Lookup(from, to); ok && e.Mbps > 0 {
-		return e, true
+	sn.chain = []link{{look: sn.lookLive, fwd: "direct", rev: "reverse"}}
+	if s.Map != nil {
+		if m := s.Map(); m != nil {
+			sn.chain = append(sn.chain, link{look: published(m), fwd: "map", rev: "map"})
+		}
 	}
-	if e, ok := m.Lookup(to, from); ok && e.Mbps > 0 {
-		return e, true
+	return sn
+}
+
+// lookLive finds the pair's Wren measurement across all shard views,
+// preferring the freshest when several shards have one (a host that
+// re-homed leaves a stale copy at its old shard).
+func (sn *sense) lookLive(from, to string) (reading, bool) {
+	var best vnet.PathMeasurement
+	found := false
+	for _, v := range sn.views {
+		if p, ok := v.Path(from, to); ok && (!found || p.UpdatedAt.After(best.UpdatedAt)) {
+			best, found = p, true
+		}
 	}
-	return coord.MapEntry{}, false
+	if !found || !best.BWFound || best.Mbps <= 0 {
+		return reading{}, false
+	}
+	r := reading{mbps: best.Mbps, kind: best.Kind, quality: best.Quality, at: best.UpdatedAt}
+	if best.LatFound && best.LatencyMs > 0 {
+		r.latMs = best.LatencyMs
+	}
+	return r, true
+}
+
+// published looks pairs up in the coordination tier's bandwidth map: a
+// real measurement of the exact pair, just possibly older than the live
+// view, so it ranks after it and before anything composed or defaulted.
+func published(m *coord.BandwidthMap) func(from, to string) (reading, bool) {
+	return func(from, to string) (reading, bool) {
+		e, ok := m.Lookup(from, to)
+		if !ok || e.Mbps <= 0 {
+			return reading{}, false
+		}
+		r := reading{mbps: e.Mbps, latMs: e.LatencyMs, kind: e.Kind, quality: e.Quality}
+		if e.At > 0 {
+			r.at = time.Unix(0, e.At)
+		}
+		return r, true
+	}
+}
+
+// tail ends the chain for a pair nothing measured directly: the two star
+// legs through the hub composed (bottleneck of the bandwidths, capped at
+// the default; sum of the latencies; the older leg's age; the bottleneck
+// leg's estimator) when the live view has either, otherwise the defaults.
+// On the initial star topology all traffic transits the hub, so the leg
+// measurements are what Wren actually has.
+func (sn *sense) tail(from, to string) reading {
+	r := reading{source: "default", mbps: sn.defBW}
+	for _, leg := range [2][2]string{{from, sn.hub}, {sn.hub, to}} {
+		// Either direction of a leg will do; its own source name is dropped.
+		p, ok := link{look: sn.lookLive}.try(leg[0], leg[1])
+		if !ok {
+			continue
+		}
+		r.source = "hub-legs"
+		if p.mbps < r.mbps {
+			r.mbps, r.kind, r.quality = p.mbps, p.kind, p.quality
+		}
+		r.latMs += p.latMs
+		if !p.at.IsZero() && (r.at.IsZero() || p.at.Before(r.at)) {
+			r.at = p.at
+		}
+	}
+	return r
+}
+
+// read walks the chain: the first link with an answer, else the tail.
+func (sn *sense) read(from, to string) reading {
+	for _, l := range sn.chain {
+		if r, ok := l.try(from, to); ok {
+			return r
+		}
+	}
+	return sn.tail(from, to)
+}
+
+// estimate returns the believed (bandwidth, latency) between two daemons
+// and their provenance. Whatever the chain read, this is the one place it
+// becomes a PathProvenance and the one place fusion may override it.
+func (sn *sense) estimate(from, to string) (bw, lat float64, prov PathProvenance) {
+	r := sn.read(from, to)
+	bw, lat = r.mbps, r.latMs
+	if lat <= 0 {
+		lat = sn.defLat
+	}
+	prov = PathProvenance{From: from, To: to, Mbps: bw, LatencyMs: lat,
+		Source: r.source, Kind: r.kind, Quality: r.quality}
+	if !r.at.IsZero() {
+		prov.AgeSec = time.Since(r.at).Seconds()
+	}
+	bw, prov = sn.fusion.fuse(bw, prov)
+	return bw, lat, prov
 }
 
 // demandRates merges the VTTIF rate matrices across shard views. Each
 // host pushes its local matrix to one home shard, so a pair normally
 // appears in exactly one shard; when a re-home leaves copies in two, the
 // max wins — summing would double-count the same observed flow.
-func (s *ViewSource) demandRates() map[vttif.Pair]float64 {
+func (sn *sense) demandRates() map[vttif.Pair]float64 {
 	out := make(map[vttif.Pair]float64)
-	for _, v := range s.views() {
+	for _, v := range sn.views {
 		for pair, rate := range v.Agg.Rates() {
 			if rate > out[pair] {
 				out[pair] = rate
@@ -276,82 +362,6 @@ func (s *ViewSource) demandRates() map[vttif.Pair]float64 {
 	return out
 }
 
-// PathEstimate returns the believed (bandwidth, latency) between two
-// daemons: the direct Wren measurement when one exists (either direction),
-// otherwise the composition of the two star legs through the hub
-// (bottleneck of the bandwidths, sum of the latencies), otherwise the
-// configured defaults. On the initial star topology all traffic transits
-// the hub, so the leg measurements are what Wren actually has.
-func (s *ViewSource) PathEstimate(from, to string) (bw, lat float64) {
-	bw, lat, _ = s.estimate(from, to)
-	return bw, lat
-}
-
-// estimate is PathEstimate plus the provenance of the numbers.
-func (s *ViewSource) estimate(from, to string) (bw, lat float64, prov PathProvenance) {
-	hub, defBW, defLat := s.defaults()
-	prov = PathProvenance{From: from, To: to, Source: "default"}
-	bw, lat = defBW, defLat
-	if p, dir, ok := s.measuredPath(from, to); ok {
-		bw = p.Mbps
-		if p.LatFound && p.LatencyMs > 0 {
-			lat = p.LatencyMs
-		}
-		prov.Source = dir
-		prov.Kind, prov.Quality = p.Kind, p.Quality
-		if !p.UpdatedAt.IsZero() {
-			prov.AgeSec = time.Since(p.UpdatedAt).Seconds()
-		}
-		prov.Mbps, prov.LatencyMs = bw, lat
-		bw, prov = s.Fusion.fuse(bw, prov)
-		return bw, lat, prov
-	}
-	if e, ok := s.mapEntry(from, to); ok {
-		bw = e.Mbps
-		if e.LatencyMs > 0 {
-			lat = e.LatencyMs
-		}
-		prov.Source = "map"
-		prov.Kind, prov.Quality = e.Kind, e.Quality
-		if e.At > 0 {
-			prov.AgeSec = time.Since(time.Unix(0, e.At)).Seconds()
-		}
-		prov.Mbps, prov.LatencyMs = bw, lat
-		bw, prov = s.Fusion.fuse(bw, prov)
-		return bw, lat, prov
-	}
-	up, _, okUp := s.measuredPath(from, hub)
-	down, _, okDown := s.measuredPath(hub, to)
-	if okUp || okDown {
-		prov.Source = "hub-legs"
-		legBW := defBW
-		legLat := 0.0
-		apply := func(p vnet.PathMeasurement, ok bool) {
-			if ok && p.BWFound && p.Mbps > 0 && p.Mbps < legBW {
-				legBW = p.Mbps
-				prov.Kind, prov.Quality = p.Kind, p.Quality
-			}
-			if ok && p.LatFound && p.LatencyMs > 0 {
-				legLat += p.LatencyMs
-			}
-			if ok && !p.UpdatedAt.IsZero() {
-				if age := time.Since(p.UpdatedAt).Seconds(); age > prov.AgeSec {
-					prov.AgeSec = age
-				}
-			}
-		}
-		apply(up, okUp)
-		apply(down, okDown)
-		bw = legBW
-		if legLat > 0 {
-			lat = legLat
-		}
-	}
-	prov.Mbps, prov.LatencyMs = bw, lat
-	bw, prov = s.Fusion.fuse(bw, prov)
-	return bw, lat, prov
-}
-
 // Snapshot implements ProblemSource.
 func (s *ViewSource) Snapshot() (*Snapshot, error) {
 	names := s.Hosts()
@@ -359,9 +369,10 @@ func (s *ViewSource) Snapshot() (*Snapshot, error) {
 	if n == 0 {
 		return nil, fmt.Errorf("control: no hosts")
 	}
+	sn := s.newSense()
 	var prov []PathProvenance
 	g := topology.Complete(n, func(from, to topology.NodeID) (float64, float64) {
-		bw, lat, p := s.estimate(names[from], names[to])
+		bw, lat, p := sn.estimate(names[from], names[to])
 		prov = append(prov, p)
 		return bw, lat
 	})
@@ -387,7 +398,7 @@ func (s *ViewSource) Snapshot() (*Snapshot, error) {
 		macToVM[v.MAC] = vadapt.VMID(i)
 	}
 	var demands []vadapt.Demand
-	for pair, rate := range s.demandRates() {
+	for pair, rate := range sn.demandRates() {
 		src, ok1 := macToVM[pair.Src]
 		dst, ok2 := macToVM[pair.Dst]
 		if !ok1 || !ok2 || src == dst {
@@ -402,7 +413,7 @@ func (s *ViewSource) Snapshot() (*Snapshot, error) {
 	// in the aggregators' own words, for the decide phase's changed set.
 	deltas := []vttif.Delta{}
 	reset := false
-	for _, v := range s.views() {
+	for _, v := range sn.views {
 		d, r := v.Agg.Deltas()
 		deltas = append(deltas, d...)
 		reset = reset || r

@@ -10,6 +10,12 @@ import (
 	"freemeasure/internal/wren/coord"
 )
 
+// estimate answers one pair outside a snapshot, on a fresh sensing context
+// (Snapshot shares one across all pairs).
+func (s *ViewSource) estimate(from, to string) (bw, lat float64, prov PathProvenance) {
+	return s.newSense().estimate(from, to)
+}
+
 // fusionView builds a ViewSource over a bare GlobalView with the given
 // fusion hook.
 func fusionView(f *Fusion) (*ViewSource, *vnet.GlobalView) {
@@ -255,5 +261,70 @@ func TestFusionOverridesStaleMapEntry(t *testing.T) {
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 88 || prov.Source != "active-probe" {
 		t.Fatalf("got %v/%s, want the active 88 over the stale map entry", bw, prov.Source)
+	}
+}
+
+// TestEstimateChainComposition walks the tail of the sense chain on a
+// star: nothing measured, the two hub legs composed, a direct measurement
+// outranking the legs, and the reverse direction standing in — each row
+// pinning the numbers and the provenance (source, estimator kind, age).
+func TestEstimateChainComposition(t *testing.T) {
+	now := time.Now()
+	meas := func(mbps, latMs float64, kind string, age time.Duration) vnet.PathMeasurement {
+		return vnet.PathMeasurement{Mbps: mbps, BWFound: true, LatencyMs: latMs, LatFound: latMs > 0,
+			Kind: kind, Quality: 0.5, UpdatedAt: now.Add(-age)}
+	}
+	type path struct {
+		from, to string
+		m        vnet.PathMeasurement
+	}
+	legs := []path{
+		{"a", "proxy", meas(50, 2, "up", 10*time.Second)},
+		{"proxy", "b", meas(30, 3, "down", 40*time.Second)},
+	}
+	cases := []struct {
+		name           string
+		paths          []path
+		bw, lat        float64
+		source, kind   string
+		minAge, maxAge float64
+	}{
+		{name: "default", bw: 100, lat: 1, source: "default"},
+		// Bottleneck of the legs, sum of their latencies, the bottleneck
+		// leg's estimator, the older leg's age.
+		{name: "hub-legs", paths: legs, bw: 30, lat: 5, source: "hub-legs", kind: "down", minAge: 40, maxAge: 100},
+		// One leg is enough to compose; the other contributes nothing.
+		{name: "one leg", paths: legs[:1], bw: 50, lat: 2, source: "hub-legs", kind: "up", minAge: 10, maxAge: 40},
+		// A leg faster than the default is capped by it and names no estimator.
+		{name: "leg above default", paths: []path{{"a", "proxy", meas(400, 2, "up", time.Second)}},
+			bw: 100, lat: 2, source: "hub-legs", minAge: 1, maxAge: 40},
+		{name: "direct wins", paths: append([]path{{"a", "b", meas(70, 0, "exact", 5*time.Second)}}, legs...),
+			bw: 70, lat: 1, source: "direct", kind: "exact", minAge: 5, maxAge: 40},
+		{name: "reverse stands in", paths: append([]path{{"b", "a", meas(60, 4, "exact", 5*time.Second)}}, legs...),
+			bw: 60, lat: 4, source: "reverse", kind: "exact", minAge: 5, maxAge: 40},
+		// Legs are looked up in both directions too.
+		{name: "reversed legs", paths: []path{{"proxy", "a", meas(20, 1, "up", time.Second)}, {"b", "proxy", meas(25, 1, "down", time.Second)}},
+			bw: 20, lat: 2, source: "hub-legs", kind: "up", minAge: 1, maxAge: 40},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			src, view := fusionView(nil)
+			for _, p := range tc.paths {
+				view.SetPath(p.from, p.to, p.m)
+			}
+			bw, lat, prov := src.estimate("a", "b")
+			if bw != tc.bw || lat != tc.lat {
+				t.Fatalf("estimate = %v Mbit/s / %v ms, want %v / %v", bw, lat, tc.bw, tc.lat)
+			}
+			if prov.Mbps != bw || prov.LatencyMs != lat || prov.From != "a" || prov.To != "b" {
+				t.Fatalf("provenance numbers = %+v, want the returned estimate for a->b", prov)
+			}
+			if prov.Source != tc.source || prov.Kind != tc.kind {
+				t.Fatalf("provenance = %s/%q, want %s/%q", prov.Source, prov.Kind, tc.source, tc.kind)
+			}
+			if prov.AgeSec < tc.minAge || prov.AgeSec > tc.maxAge {
+				t.Fatalf("age = %vs, want within [%v, %v]", prov.AgeSec, tc.minAge, tc.maxAge)
+			}
+		})
 	}
 }

@@ -4,44 +4,32 @@ import (
 	"sync"
 	"time"
 
-	"freemeasure/internal/vadapt"
+	"freemeasure/internal/control"
 )
 
-// AutoAdaptConfig governs the background adaptation loop. The loop embeds
-// the damping the paper designed into VTTIF ("adaptation decisions made on
-// its output cannot lead to oscillation"): a plan is applied only when it
-// improves the current configuration's score by more than a relative
-// threshold, and successive applications are separated by a hold-down
-// period so the system observes the effect of one move before making the
-// next.
+// AutoAdaptConfig governs the background cycle scheduler. What a cycle
+// decides, cost/benefit gate included, is the controller's business; the
+// scheduler adds the rest of the damping the paper asks for ("adaptation
+// decisions ... cannot lead to oscillation"): a hold-down between applied
+// plans, so the effect of one move is observed before the next is made.
 type AutoAdaptConfig struct {
 	// Every is the evaluation period (default 2 s).
 	Every time.Duration
-	// MinImprovement is the fractional score gain required to act
-	// (default 0.1 = 10%); absolute gains below MinAbsolute also do not
-	// act (default 1.0).
-	MinImprovement float64
-	MinAbsolute    float64
 	// HoldDown is the minimum time between applied plans (default 2*Every).
 	HoldDown time.Duration
 	// Clock is the loop's time source; nil means wall time. Tests inject
-	// a manually advanced clock (chaos.FakeClock) so tick and hold-down
-	// behavior can be exercised without real sleeps.
+	// chaos.FakeClock to drive ticks and the hold-down without sleeping.
 	Clock Clock
 }
 
 // Clock abstracts the adaptation loop's time source.
 type Clock interface {
-	Now() time.Time
-	// Ticker returns a channel delivering ticks every d, and a stop
-	// function releasing it.
-	Ticker(d time.Duration) (<-chan time.Time, func())
+	// Ticker delivers the clock's time every d until stop is called.
+	Ticker(d time.Duration) (ticks <-chan time.Time, stop func())
 }
 
 // wallClock is the production Clock: real time.
 type wallClock struct{}
-
-func (wallClock) Now() time.Time { return time.Now() }
 
 func (wallClock) Ticker(d time.Duration) (<-chan time.Time, func()) {
 	t := time.NewTicker(d)
@@ -52,12 +40,6 @@ func (c AutoAdaptConfig) withDefaults() AutoAdaptConfig {
 	if c.Every == 0 {
 		c.Every = 2 * time.Second
 	}
-	if c.MinImprovement == 0 {
-		c.MinImprovement = 0.1
-	}
-	if c.MinAbsolute == 0 {
-		c.MinAbsolute = 1.0
-	}
 	if c.HoldDown == 0 {
 		c.HoldDown = 2 * c.Every
 	}
@@ -67,37 +49,33 @@ func (c AutoAdaptConfig) withDefaults() AutoAdaptConfig {
 	return c
 }
 
-// AutoAdaptStats counts loop activity.
+// AutoAdaptStats counts loop activity. Evaluations counts every tick;
+// ticks inside the hold-down run no cycle, so the rest sum to cycles run.
 type AutoAdaptStats struct {
 	Evaluations uint64
-	Applied     uint64
-	Skipped     uint64 // plans below the improvement threshold
-	Errors      uint64 // snapshots with no demands yet, etc.
+	Applied     uint64 // cycles whose plan was applied
+	Skipped     uint64 // cycles that changed nothing: no demands, no diff, or gated
+	Errors      uint64 // cycles whose sense or apply failed
 }
 
-// AutoAdapter runs the closed loop in the background.
+// AutoAdapter runs the system's controller on a ticker.
 type AutoAdapter struct {
-	sys  *System
+	ctl  *control.Controller
 	cfg  AutoAdaptConfig
 	stop chan struct{}
 	done chan struct{}
 
-	mu          sync.Mutex
-	stats       AutoAdaptStats
-	lastApplied time.Time
-	// OnApply, if set, observes every applied plan.
-	OnApply func(*Plan)
+	lastApplied time.Time // loop goroutine only
+
+	mu    sync.Mutex
+	stats AutoAdaptStats
 }
 
 // StartAutoAdapt launches the loop. Stop it with Stop.
 func (s *System) StartAutoAdapt(cfg AutoAdaptConfig) *AutoAdapter {
-	a := &AutoAdapter{
-		sys:  s,
-		cfg:  cfg.withDefaults(),
-		stop: make(chan struct{}),
-		done: make(chan struct{}),
-	}
-	go a.loop()
+	a := &AutoAdapter{ctl: s.ctl, cfg: cfg.withDefaults(), stop: make(chan struct{}), done: make(chan struct{})}
+	ticks, stop := a.cfg.Clock.Ticker(a.cfg.Every) // here, so the period counts from Start
+	go a.loop(ticks, stop)
 	return a
 }
 
@@ -114,70 +92,38 @@ func (a *AutoAdapter) Stats() AutoAdaptStats {
 	return a.stats
 }
 
-func (a *AutoAdapter) loop() {
+func (a *AutoAdapter) loop(ticks <-chan time.Time, stop func()) {
 	defer close(a.done)
-	ticks, stop := a.cfg.Clock.Ticker(a.cfg.Every)
 	defer stop()
 	for {
 		select {
 		case <-a.stop:
 			return
-		case <-ticks:
-			a.step()
+		case now := <-ticks:
+			a.step(now)
 		}
 	}
 }
 
-func (a *AutoAdapter) step() {
+// step is one tick: a cycle, unless a plan was applied within HoldDown. It
+// counts afterwards, so once Evaluations advances LastCycle is that tick's.
+func (a *AutoAdapter) step(now time.Time) {
+	held := !a.lastApplied.IsZero() && now.Sub(a.lastApplied) < a.cfg.HoldDown
+	var res control.CycleResult
+	if !held {
+		res = a.ctl.RunCycle()
+	}
 	a.mu.Lock()
+	defer a.mu.Unlock()
 	a.stats.Evaluations++
-	held := a.cfg.Clock.Now().Sub(a.lastApplied) < a.cfg.HoldDown && !a.lastApplied.IsZero()
-	a.mu.Unlock()
-	if held {
-		return
-	}
-	// One snapshot for both the current score and the plan: comparing
-	// across two snapshots would mistake evolving measurements for
-	// improvement.
-	p, vms, err := a.sys.SnapshotProblem()
-	if err != nil {
-		a.fail()
-		return
-	}
-	current, err := a.sys.scoreOn(p, vms)
-	if err != nil {
-		a.fail()
-		return
-	}
-	plan, err := a.sys.adaptOn(p, vms)
-	if err != nil {
-		a.fail()
-		return
-	}
-	gate := vadapt.Gate{MinImprovement: a.cfg.MinImprovement, MinAbsolute: a.cfg.MinAbsolute}
-	if !gate.Allows(vadapt.Evaluation{Score: current}, plan.Eval) ||
-		len(plan.Migrations)+len(plan.Rules) == 0 {
-		a.mu.Lock()
+	switch {
+	case held:
+	case res.Err != nil:
+		a.stats.Errors++
+	case res.Applied:
+		a.stats.Applied++
+		a.lastApplied = now
+	default:
 		a.stats.Skipped++
-		a.mu.Unlock()
-		return
 	}
-	if err := a.sys.Apply(plan); err != nil {
-		a.fail()
-		return
-	}
-	a.mu.Lock()
-	a.stats.Applied++
-	a.lastApplied = a.cfg.Clock.Now()
-	fn := a.OnApply
-	a.mu.Unlock()
-	if fn != nil {
-		fn(plan)
-	}
-}
-
-func (a *AutoAdapter) fail() {
-	a.mu.Lock()
-	a.stats.Errors++
-	a.mu.Unlock()
 }

@@ -1,10 +1,15 @@
 package core
 
 import (
+	"runtime"
+	"slices"
+	"strings"
 	"testing"
 	"time"
 
 	"freemeasure/internal/chaos"
+	"freemeasure/internal/control"
+	"freemeasure/internal/vm"
 	"freemeasure/internal/vttif"
 )
 
@@ -14,112 +19,58 @@ import (
 // exact instead of racy. Only the Wren measurement warm-up (real traffic
 // over the in-process overlay) still waits on wall time.
 
-// tickUntil advances the fake clock one period at a time until cond
-// holds, yielding briefly between ticks so the loop goroutine can run.
-func tickUntil(t *testing.T, clk *chaos.FakeClock, every time.Duration, what string, cond func() bool) {
+// tick advances the fake clock one period and waits for the loop to
+// finish that evaluation, returning the cycle it ran — ok is false when
+// the tick fell inside the hold-down and no cycle ran.
+func tick(t *testing.T, clk *chaos.FakeClock, every time.Duration, a *AutoAdapter, s *System) (res control.CycleResult, ok bool) {
 	t.Helper()
-	deadline := time.Now().Add(45 * time.Second)
-	for !cond() {
-		if time.Now().After(deadline) {
-			t.Fatalf("timeout waiting for %s", what)
-		}
-		clk.Advance(every)
-		time.Sleep(2 * time.Millisecond)
-	}
+	before := a.Stats()
+	last, _ := s.Controller().LastCycle()
+	clk.Advance(every)
+	waitFor(t, "the tick's evaluation", 45*time.Second, func() bool {
+		return a.Stats().Evaluations > before.Evaluations
+	})
+	res, _ = s.Controller().LastCycle()
+	return res, res.Cycle != last.Cycle
 }
 
 func TestAutoAdaptMigratesAndDamps(t *testing.T) {
-	s, err := NewSystem(Config{
-		Hosts:       []string{"fast1", "fast2", "slowhost"},
-		ReportEvery: 50 * time.Millisecond,
-		VTTIF:       vttif.Config{Alpha: 0.6, HoldUpdates: 1},
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer s.Close()
-	limit := func(host string, mbps float64) {
-		if l, ok := s.Overlay().Node(host).Daemon.Link("proxy"); ok {
-			l.SetRateMbps(mbps)
-		}
-		if l, ok := s.Overlay().Proxy.Daemon.Link(host); ok {
-			l.SetRateMbps(mbps)
-		}
-	}
-	limit("fast1", 80)
-	limit("fast2", 80)
-	limit("slowhost", 4)
-	v1, _ := s.AddVM(1, "fast1")
-	v2, _ := s.AddVM(2, "slowhost")
-
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			v1.Send(v2, 60<<10)
-			v2.Send(v1, 60<<10)
-			time.Sleep(20 * time.Millisecond)
-		}
-	}()
-
-	// Let Wren measure both active legs — in both directions — before
-	// enabling autonomous adaptation: an unmeasured path defaults to the
-	// optimistic capacity, and the first trains through a loaded link can
-	// yield a transient underestimate (a few Mbit/s on the 80 Mbit/s leg).
-	// Planning off that transient makes greedy flee fast1 for the
-	// never-measured fast2 and leave VM2 on the slow host.
-	measuredAbove := func(a, b string, floor float64) bool {
-		p, ok := s.Overlay().View.Path(a, b)
-		return ok && p.BWFound && p.Mbps > floor
-	}
-	waitFor(t, "legs measured", 45*time.Second, func() bool {
-		slow, ok := s.Overlay().View.Path("slowhost", "proxy")
-		return ok && slow.BWFound && slow.Mbps < 40 &&
-			measuredAbove("fast1", "proxy", 20) &&
-			measuredAbove("proxy", "fast1", 20)
-	})
-
+	s, _, v2 := slowHostSystem(t)
 	const every = 200 * time.Millisecond
 	clk := chaos.NewFakeClock()
-	applied := make(chan *Plan, 8)
 	a := s.StartAutoAdapt(AutoAdaptConfig{
 		Every:    every,
 		HoldDown: 10 * time.Second, // fake time: no second shot below
 		Clock:    clk,
 	})
-	a.OnApply = func(p *Plan) {
-		select {
-		case applied <- p:
-		default:
-		}
-	}
 	defer a.Stop()
 
-	tickUntil(t, clk, every, "an applied plan", func() bool { return a.Stats().Applied > 0 })
-	select {
-	case p := <-applied:
-		if len(p.Migrations) == 0 {
-			t.Fatalf("applied plan had no migrations: %+v", p)
+	var applied control.CycleResult
+	for deadline := time.Now().Add(45 * time.Second); !applied.Applied; {
+		if time.Now().After(deadline) {
+			t.Fatalf("no plan applied (stats %+v)", a.Stats())
 		}
-	case <-time.After(10 * time.Second):
-		t.Fatalf("OnApply never fired (stats %+v)", a.Stats())
+		applied, _ = tick(t, clk, every, a, s)
 	}
-	waitFor(t, "migration", 10*time.Second, func() bool { return v2.Daemon().Name() != "slowhost" })
+	if moved := migrations(applied.Plan); !slices.Contains(moved, v2.MAC()) {
+		t.Fatalf("applied plan migrates %v, not VM2: %v", moved, applied.Plan.Steps)
+	}
+	if v2.Daemon().Name() == "slowhost" {
+		t.Fatal("VM2 still on the slow host after the applied cycle")
+	}
 
-	// Hold-down: tick well past several periods of fake time — all inside
+	// Hold-down: tick through several periods of fake time — all inside
 	// the 10 s hold-down window — and the loop must evaluate without
-	// applying again.
+	// running, let alone applying, another cycle.
 	before := a.Stats()
-	tickUntil(t, clk, every, "post-apply evaluations", func() bool {
-		return a.Stats().Evaluations >= before.Evaluations+5
-	})
-	if st := a.Stats(); st.Applied != before.Applied {
-		t.Fatalf("hold-down violated: applied %d -> %d", before.Applied, st.Applied)
+	for i := 0; i < 6; i++ {
+		if res, ran := tick(t, clk, every, a, s); ran {
+			t.Fatalf("cycle %d ran inside the hold-down: %s", res.Cycle, res.Summary())
+		}
+	}
+	after := a.Stats()
+	if after.Evaluations < before.Evaluations+5 || after.Applied != before.Applied {
+		t.Fatalf("hold-down violated: %+v -> %+v", before, after)
 	}
 }
 
@@ -127,37 +78,66 @@ func TestAutoAdaptSkipsWhenAlreadyGood(t *testing.T) {
 	s := newTestSystem(t, []string{"h1", "h2"})
 	v1, _ := s.AddVM(1, "h1")
 	v2, _ := s.AddVM(2, "h2")
-	stop := make(chan struct{})
-	defer close(stop)
-	go func() {
-		for {
-			select {
-			case <-stop:
-				return
-			default:
-			}
-			v1.Send(v2, 20<<10)
-			time.Sleep(20 * time.Millisecond)
-		}
-	}()
+	chatter(t, 20<<10, [2]*vm.VM{v1, v2})
 	const every = 100 * time.Millisecond
 	clk := chaos.NewFakeClock()
 	a := s.StartAutoAdapt(AutoAdaptConfig{Every: every, Clock: clk})
 	defer a.Stop()
-	tickUntil(t, clk, every, "skip decisions", func() bool { return a.Stats().Skipped >= 2 })
-	if st := a.Stats(); st.Applied != 0 {
-		t.Fatalf("applied a plan on an already-good placement: %+v", st)
+	// Routing the demand is the only thing there is to do: no cycle may
+	// migrate, and the loop must settle into declining to act.
+	settled := 0
+	for deadline := time.Now().Add(45 * time.Second); settled < 2; {
+		if time.Now().After(deadline) {
+			t.Fatalf("loop never settled (stats %+v)", a.Stats())
+		}
+		res, ran := tick(t, clk, every, a, s)
+		switch {
+		case !ran:
+		case res.Err != nil:
+			t.Fatalf("cycle failed: %v", res.Err)
+		case res.Applied:
+			if moved := migrations(res.Plan); len(moved) != 0 {
+				t.Fatalf("migrated %v on an already-good placement: %v", moved, res.Plan.Steps)
+			}
+			settled = 0
+		case res.Reason == "no change" || strings.HasPrefix(res.Reason, "gate:"):
+			settled++
+		}
+	}
+	if v1.Daemon().Name() != "h1" || v2.Daemon().Name() != "h2" {
+		t.Fatalf("placement changed: VM1 on %s, VM2 on %s", v1.Daemon().Name(), v2.Daemon().Name())
+	}
+	if st := a.Stats(); st.Skipped < 2 || st.Errors != 0 {
+		t.Fatalf("stats = %+v, want the settled cycles counted as skips", st)
 	}
 }
 
+// TestAutoAdaptStopIsClean: Stop neither hangs nor panics, and after Stop
+// and Close every goroutine the system started — the loop, the reporters,
+// the daemons' link readers and batchers — is gone.
 func TestAutoAdaptStopIsClean(t *testing.T) {
-	s := newTestSystem(t, []string{"h1"})
+	baseline := runtime.NumGoroutine()
+	s, err := NewSystem(Config{
+		Hosts:       []string{"h1", "h2"},
+		ReportEvery: 50 * time.Millisecond,
+		VTTIF:       vttif.Config{Alpha: 0.6, HoldUpdates: 1},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	v1, _ := s.AddVM(1, "h1")
+	v2, _ := s.AddVM(2, "h2")
+	v1.Send(v2, 8<<10)
 	const every = 50 * time.Millisecond
 	clk := chaos.NewFakeClock()
 	a := s.StartAutoAdapt(AutoAdaptConfig{Every: every, Clock: clk})
-	tickUntil(t, clk, every, "first evaluation", func() bool { return a.Stats().Evaluations > 0 })
-	a.Stop() // must not hang or panic; loop counts errors (no demands)
-	if a.Stats().Evaluations == 0 {
-		t.Fatal("loop never ran")
+	tick(t, clk, every, a, s)
+	a.Stop()
+	s.Close()
+	if st := a.Stats(); st.Evaluations == 0 || st.Evaluations != st.Applied+st.Skipped+st.Errors {
+		t.Fatalf("stats = %+v, want every evaluation accounted for", st)
 	}
+	waitFor(t, "goroutines to drain to the pre-NewSystem baseline", 10*time.Second, func() bool {
+		return runtime.NumGoroutine() <= baseline
+	})
 }

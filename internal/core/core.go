@@ -2,14 +2,12 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"sync"
 	"time"
 
 	"freemeasure/internal/control"
 	"freemeasure/internal/ethernet"
-	"freemeasure/internal/topology"
 	"freemeasure/internal/vadapt"
 	"freemeasure/internal/vm"
 	"freemeasure/internal/vnet"
@@ -20,43 +18,31 @@ import (
 
 // Config parameterizes a System.
 type Config struct {
-	// Hosts names the machines that run VNET daemons (the Proxy is
-	// created implicitly).
+	// Hosts names the machines that run VNET daemons (plus an implicit Proxy).
 	Hosts []string
-	// DefaultLinkMbps is the assumed capacity of a path until Wren has
-	// measured it (default 100).
-	DefaultLinkMbps float64
-	// DefaultLatencyMs is the assumed latency until measured (default 1).
+	// DefaultLinkMbps and DefaultLatencyMs are the assumed capacity and
+	// latency of a path until Wren has measured it (defaults 100 and 1).
+	DefaultLinkMbps  float64
 	DefaultLatencyMs float64
-	// ReportEvery is the daemons' reporting period to the Proxy
-	// (default 250 ms).
+	// ReportEvery is the daemons' reporting period to the Proxy (default 250 ms).
 	ReportEvery time.Duration
 	// Objective for adaptation (default vadapt.ResidualBW{}).
 	Objective vadapt.Objective
-	// SA configures the annealing refinement; SA.Iterations == 0 disables
-	// annealing and uses the greedy heuristic alone.
+	// SA configures the annealing refinement; SA.Iterations == 0 leaves
+	// the greedy heuristic alone.
 	SA vadapt.SAConfig
 	// VTTIF and Wren tuneables.
 	VTTIF vttif.Config
 	Wren  wren.Config
 	// HostCPUCapacity is each host's admissible CPU utilization for VM
-	// reservations (VSched-style periodic real-time scheduling; default
-	// 1.0 = the whole processor).
+	// reservations (VSched periodic real-time scheduling; default 1.0).
 	HostCPUCapacity float64
 }
 
+// withDefaults fills what core consumes; control defaults the rest.
 func (c Config) withDefaults() Config {
-	if c.DefaultLinkMbps == 0 {
-		c.DefaultLinkMbps = 100
-	}
-	if c.DefaultLatencyMs == 0 {
-		c.DefaultLatencyMs = 1
-	}
 	if c.ReportEvery == 0 {
 		c.ReportEvery = 250 * time.Millisecond
-	}
-	if c.Objective == nil {
-		c.Objective = vadapt.ResidualBW{}
 	}
 	// Wall-clock overlay traffic is sparser and noisier than simulated
 	// kernel traces: merge sub-millisecond write jitter into bursts and
@@ -70,19 +56,19 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// System is a running deployment.
+// System is a running deployment: a star overlay, the VMs attached to it,
+// per-host CPU schedulers, and the one control.Controller that adapts them.
 type System struct {
-	cfg     Config
 	overlay *vnet.Overlay
+	ctl     *control.Controller
+	sched   map[string]*vsched.Scheduler // by host
 
-	mu    sync.Mutex
-	vms   map[int]*vm.VM // VM id -> VM
-	resv  map[int]vsched.Reservation
-	sched map[string]*vsched.Scheduler // per-host CPU schedulers
+	mu  sync.Mutex
+	vms map[ethernet.MAC]*vm.VM
 }
 
 // NewSystem builds and starts the deployment: a star overlay on localhost
-// with periodic VTTIF/Wren reporting.
+// with periodic VTTIF/Wren reporting. Nothing adapts until a cycle is run.
 func NewSystem(cfg Config) (*System, error) {
 	cfg = cfg.withDefaults()
 	if len(cfg.Hosts) == 0 {
@@ -92,19 +78,39 @@ func NewSystem(cfg Config) (*System, error) {
 	if err != nil {
 		return nil, err
 	}
-	o.StartReporting(cfg.ReportEvery)
-	s := &System{
-		cfg:     cfg,
-		overlay: o,
-		vms:     make(map[int]*vm.VM),
-		resv:    make(map[int]vsched.Reservation),
-		sched:   make(map[string]*vsched.Scheduler),
-	}
+	s := &System{overlay: o, vms: make(map[ethernet.MAC]*vm.VM), sched: make(map[string]*vsched.Scheduler)}
 	for _, h := range cfg.Hosts {
 		s.sched[h] = vsched.New(cfg.HostCPUCapacity)
 	}
+	s.ctl, err = control.New(control.Config{
+		Source: &control.ViewSource{
+			View:             o.View,
+			Hosts:            func() []string { return cfg.Hosts },
+			VMs:              s.vmInfos,
+			DefaultLinkMbps:  cfg.DefaultLinkMbps,
+			DefaultLatencyMs: cfg.DefaultLatencyMs,
+		},
+		Applier:   control.OverlayApplier{Overlay: o, Migrator: s},
+		Objective: cfg.Objective,
+		SA:        cfg.SA,
+	})
+	if err != nil {
+		o.Close()
+		return nil, err
+	}
+	o.StartReporting(cfg.ReportEvery)
 	return s, nil
 }
+
+// Controller returns the system's adaptation loop: RunCycle executes one
+// sense -> decide -> apply pass and reports it as a control.CycleResult.
+func (s *System) Controller() *control.Controller { return s.ctl }
+
+// Overlay exposes the underlying overlay (for rate limiting, inspection).
+func (s *System) Overlay() *vnet.Overlay { return s.overlay }
+
+// Close shuts everything down.
+func (s *System) Close() { s.overlay.Close() }
 
 // HostScheduler returns the named host's CPU reservation scheduler.
 func (s *System) HostScheduler(host string) (*vsched.Scheduler, bool) {
@@ -112,38 +118,43 @@ func (s *System) HostScheduler(host string) (*vsched.Scheduler, bool) {
 	return sc, ok
 }
 
-// Reserve attaches a VSched CPU reservation to a VM: it is admitted on
-// the VM's current host now, and every future migration re-admits it at
-// the target (a migration to a CPU-full host is refused).
+// Reserve attaches a VSched CPU reservation to a VM: admitted on its
+// current host now, re-admitted at the target of every future migration.
 func (s *System) Reserve(id int, r vsched.Reservation) error {
-	s.mu.Lock()
-	v, ok := s.vms[id]
-	s.mu.Unlock()
+	v, ok := s.VM(id)
 	if !ok {
 		return fmt.Errorf("core: unknown vm %d", id)
 	}
-	d := v.Daemon()
-	if d == nil {
-		return fmt.Errorf("core: vm %d detached", id)
-	}
-	sc, ok := s.sched[d.Name()]
-	if !ok {
-		return fmt.Errorf("core: no scheduler for host %q", d.Name())
-	}
-	if err := sc.Admit(id, r); err != nil {
-		return err
-	}
-	s.mu.Lock()
-	s.resv[id] = r
-	s.mu.Unlock()
-	return nil
+	return s.sched[v.Daemon().Name()].Admit(id, r)
 }
 
-// Overlay exposes the underlying overlay (for rate limiting, inspection).
-func (s *System) Overlay() *vnet.Overlay { return s.overlay }
-
-// Close shuts everything down.
-func (s *System) Close() { s.overlay.Close() }
+// Migrate implements vnet.Migrator: it moves the VM with the given MAC and
+// its CPU reservation — admitted at the target first, so a host without
+// CPU headroom refuses the move (configuration element 4), then revoked at
+// the source. Endpoints swapped, it undoes itself: Overlay.Apply's rollback.
+func (s *System) Migrate(mac ethernet.MAC, from, to string) error {
+	target := s.overlay.Node(to)
+	if target == nil {
+		return fmt.Errorf("core: unknown host %q", to)
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	v, ok := s.vms[mac]
+	if !ok {
+		return fmt.Errorf("core: no vm with MAC %s", mac)
+	}
+	if v.Daemon().Name() != from {
+		return fmt.Errorf("core: vm %d is not on %s", v.ID(), from)
+	}
+	if r, reserved := s.sched[from].Reservation(v.ID()); reserved {
+		if err := s.sched[to].Admit(v.ID(), r); err != nil {
+			return fmt.Errorf("core: migrating vm %d to %s: %w", v.ID(), to, err)
+		}
+		s.sched[from].Revoke(v.ID())
+	}
+	v.AttachTo(target.Daemon)
+	return nil
+}
 
 // AddVM creates VM id on the named host.
 func (s *System) AddVM(id int, host string) (*vm.VM, error) {
@@ -153,12 +164,12 @@ func (s *System) AddVM(id int, host string) (*vm.VM, error) {
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if _, dup := s.vms[id]; dup {
+	v := vm.New(id)
+	if _, dup := s.vms[v.MAC()]; dup {
 		return nil, fmt.Errorf("core: vm %d exists", id)
 	}
-	v := vm.New(id)
 	v.AttachTo(node.Daemon)
-	s.vms[id] = v
+	s.vms[v.MAC()] = v
 	return v, nil
 }
 
@@ -166,7 +177,7 @@ func (s *System) AddVM(id int, host string) (*vm.VM, error) {
 func (s *System) VM(id int) (*vm.VM, bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	v, ok := s.vms[id]
+	v, ok := s.vms[ethernet.VMMAC(id)]
 	return v, ok
 }
 
@@ -182,212 +193,12 @@ func (s *System) VMs() []*vm.VM {
 	return out
 }
 
-// hostIndex maps daemon names to contiguous NodeIDs.
-func (s *System) hostIndex() (names []string, idx map[string]topology.NodeID) {
-	idx = make(map[string]topology.NodeID)
-	for i, n := range s.overlay.Nodes {
-		names = append(names, n.Daemon.Name())
-		idx[n.Daemon.Name()] = topology.NodeID(i)
-	}
-	return names, idx
-}
-
-// viewSource builds the control-plane sense adapter over this system's
-// global view, pinned to the given VM set so one snapshot stays
-// self-consistent even while VMs are added concurrently.
-func (s *System) viewSource(vms []*vm.VM) *control.ViewSource {
-	return &control.ViewSource{
-		View: s.overlay.View,
-		Hosts: func() []string {
-			names, _ := s.hostIndex()
-			return names
-		},
-		VMs: func() []control.VMInfo {
-			out := make([]control.VMInfo, len(vms))
-			for i, v := range vms {
-				host := ""
-				if d := v.Daemon(); d != nil {
-					host = d.Name()
-				}
-				out[i] = control.VMInfo{MAC: v.MAC(), Host: host}
-			}
-			return out
-		},
-		DefaultLinkMbps:  s.cfg.DefaultLinkMbps,
-		DefaultLatencyMs: s.cfg.DefaultLatencyMs,
-	}
-}
-
-// SnapshotProblem turns the Proxy's current global views into a VADAPT
-// problem instance: the host graph from Wren's bandwidth/latency matrices
-// (with defaults where unmeasured) and the demand list from VTTIF's
-// smoothed traffic matrix. The construction lives in control.ViewSource;
-// this wrapper keeps the System-level API.
-func (s *System) SnapshotProblem() (*vadapt.Problem, []*vm.VM, error) {
+// vmInfos is the controller's view of the registry, in id order.
+func (s *System) vmInfos() []control.VMInfo {
 	vms := s.VMs()
-	snap, err := s.viewSource(vms).Snapshot()
-	if err != nil {
-		return nil, nil, err
-	}
-	return snap.Problem, vms, nil
-}
-
-// pathEstimate returns the believed (bandwidth, latency) between two
-// daemons: the direct Wren measurement when one exists, otherwise the
-// composition of the two star legs through the Proxy (bottleneck of the
-// bandwidths, sum of the latencies), otherwise the configured defaults.
-func (s *System) pathEstimate(from, to string) (bw, lat float64) {
-	return s.viewSource(nil).PathEstimate(from, to)
-}
-
-// currentMapping returns where each VM currently lives.
-func (s *System) currentMapping(vms []*vm.VM) ([]topology.NodeID, error) {
-	_, idx := s.hostIndex()
-	mapping := make([]topology.NodeID, len(vms))
+	out := make([]control.VMInfo, len(vms))
 	for i, v := range vms {
-		d := v.Daemon()
-		if d == nil {
-			return nil, fmt.Errorf("core: vm %d detached", v.ID())
-		}
-		id, ok := idx[d.Name()]
-		if !ok {
-			return nil, fmt.Errorf("core: vm %d on unknown daemon %q", v.ID(), d.Name())
-		}
-		mapping[i] = id
+		out[i] = control.VMInfo{MAC: v.MAC(), Host: v.Daemon().Name()}
 	}
-	return mapping, nil
-}
-
-// Plan is an adaptation decision: the chosen configuration and the
-// migrations needed to reach it from the current state.
-type Plan struct {
-	Problem    *vadapt.Problem
-	Config     *vadapt.Config
-	Eval       vadapt.Evaluation
-	Migrations []vadapt.Migration
-	// Rules lists the forwarding rules to install: on the daemon at Host,
-	// frames for DstMAC go to the NextHop daemon.
-	Rules []Rule
-}
-
-// Rule is one forwarding-table entry.
-type Rule struct {
-	Host    string
-	DstMAC  ethernet.MAC
-	NextHop string
-}
-
-// AdaptOnce computes a new configuration from the current global views.
-// It does not apply anything; pass the plan to Apply.
-func (s *System) AdaptOnce() (*Plan, error) {
-	p, vms, err := s.SnapshotProblem()
-	if err != nil {
-		return nil, err
-	}
-	return s.adaptOn(p, vms)
-}
-
-// adaptOn builds a plan against a fixed snapshot (so callers can compare
-// the plan's score with the current placement's score on identical data).
-func (s *System) adaptOn(p *vadapt.Problem, vms []*vm.VM) (*Plan, error) {
-	if len(p.Demands) == 0 {
-		return nil, fmt.Errorf("core: no traffic demands observed yet")
-	}
-	cfg := vadapt.Greedy(p)
-	if s.cfg.SA.Iterations > 0 {
-		cfg, _ = vadapt.Anneal(p, s.cfg.Objective, cfg, s.cfg.SA)
-	}
-	eval := s.cfg.Objective.Evaluate(p, cfg)
-	cur, err := s.currentMapping(vms)
-	if err != nil {
-		return nil, err
-	}
-	plan := &Plan{
-		Problem:    p,
-		Config:     cfg,
-		Eval:       eval,
-		Migrations: vadapt.Migrations(cur, cfg.Mapping),
-	}
-	names, _ := s.hostIndex()
-	for di, path := range cfg.Paths {
-		if len(path) < 2 {
-			continue
-		}
-		dstVM := vms[p.Demands[di].Dst]
-		for k := 0; k+1 < len(path); k++ {
-			plan.Rules = append(plan.Rules, Rule{
-				Host:    names[path[k]],
-				DstMAC:  dstVM.MAC(),
-				NextHop: names[path[k+1]],
-			})
-		}
-	}
-	return plan, nil
-}
-
-// Apply executes a plan: adds the overlay links the paths need, installs
-// forwarding rules, and migrates VMs.
-func (s *System) Apply(plan *Plan) error {
-	// Links first so rules have somewhere to point.
-	for _, r := range plan.Rules {
-		node := s.overlay.Node(r.Host)
-		if node == nil {
-			return fmt.Errorf("core: rule for unknown host %q", r.Host)
-		}
-		if _, ok := node.Daemon.Link(r.NextHop); !ok && r.NextHop != "proxy" {
-			if err := s.overlay.ConnectPair(r.Host, r.NextHop); err != nil {
-				return fmt.Errorf("core: linking %s-%s: %w", r.Host, r.NextHop, err)
-			}
-		}
-		node.Daemon.AddRule(r.DstMAC, r.NextHop)
-	}
-	vms := s.VMs()
-	names, _ := s.hostIndex()
-	for _, m := range plan.Migrations {
-		if int(m.VM) >= len(vms) {
-			return fmt.Errorf("core: migration for unknown vm %d", m.VM)
-		}
-		target := s.overlay.Node(names[m.To])
-		if target == nil {
-			return fmt.Errorf("core: migration to unknown host %v", m.To)
-		}
-		v := vms[m.VM]
-		// Move the VM's CPU reservation first: a migration to a host
-		// without CPU headroom is refused (configuration element 4).
-		s.mu.Lock()
-		r, reserved := s.resv[v.ID()]
-		s.mu.Unlock()
-		if reserved {
-			if err := s.sched[names[m.To]].Admit(v.ID(), r); err != nil {
-				return fmt.Errorf("core: migrating vm %d to %s: %w", v.ID(), names[m.To], err)
-			}
-			if old := v.Daemon(); old != nil {
-				if sc, ok := s.sched[old.Name()]; ok {
-					sc.Revoke(v.ID())
-				}
-			}
-		}
-		v.AttachTo(target.Daemon)
-	}
-	return nil
-}
-
-// Score evaluates how good the *current* placement is under the current
-// views — useful to verify adaptation improved matters.
-func (s *System) Score() (float64, error) {
-	p, vms, err := s.SnapshotProblem()
-	if err != nil {
-		return math.NaN(), err
-	}
-	return s.scoreOn(p, vms)
-}
-
-// scoreOn evaluates the current placement against a fixed snapshot.
-func (s *System) scoreOn(p *vadapt.Problem, vms []*vm.VM) (float64, error) {
-	cur, err := s.currentMapping(vms)
-	if err != nil {
-		return math.NaN(), err
-	}
-	cfg := &vadapt.Config{Mapping: cur, Paths: vadapt.GreedyPaths(p, cur)}
-	return s.cfg.Objective.Evaluate(p, cfg).Score, nil
+	return out
 }

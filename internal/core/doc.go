@@ -2,14 +2,14 @@
 // Virtuoso deployment where VNET carries the VMs' traffic, Wren passively
 // measures the physical paths from that same traffic, VTTIF infers the
 // application's topology and load, and VADAPT uses both views to pick a
-// better configuration — VM-to-host mapping, overlay topology, and
-// forwarding rules — which the system then applies by migrating VMs and
-// editing forwarding tables.
+// better configuration — VM-to-host mapping, overlay topology, forwarding
+// rules — which is applied by migrating VMs and editing forwarding tables.
 //
-// In paper terms this is the integration of sections 2 (Wren), 3
-// (Virtuoso: VNET + VTTIF), and 4 (VADAPT) into the closed adaptation
-// loop of section 1: application traffic -> (Wren, VTTIF) -> Proxy's
-// global views -> VADAPT -> migrations + rules -> application runs faster.
-// System is the top-level object; its Step method executes one turn of
-// that loop.
+// In paper terms: sections 2 (Wren), 3 (Virtuoso: VNET + VTTIF) and 4
+// (VADAPT) integrated into the closed loop of section 1. System is the
+// top-level object and owns no adaptation logic: System.Controller() is a
+// control.Controller whose RunCycle executes one turn of that loop through
+// the transactional vnet.Overlay.Apply, with System as the vnet.Migrator
+// that moves VMs and their CPU reservations. StartAutoAdapt runs cycles
+// on a ticker.
 package core
