@@ -429,7 +429,7 @@ func stateFunc(name string, d *vnet.Daemon, view *vnet.GlobalView, ctl *control.
 			st["ring"] = ringJSON(ring, d.DefaultRoute())
 		}
 		if view != nil {
-			st["paths"] = pathsJSON(view.Paths())
+			st["paths"] = view.Paths()
 			st["traffic"] = trafficJSON(view.Agg.Rates())
 		}
 		if ctl != nil {
@@ -489,27 +489,6 @@ func macMapJSON(m map[ethernet.MAC]string) map[string]string {
 	for mac, peer := range m {
 		out[mac.String()] = peer
 	}
-	return out
-}
-
-// pathJSON is one global-view measurement in /debug/state form.
-type pathJSON struct {
-	From string `json:"from"`
-	To   string `json:"to"`
-	vnet.PathMeasurement
-}
-
-func pathsJSON(paths map[[2]string]vnet.PathMeasurement) []pathJSON {
-	out := make([]pathJSON, 0, len(paths))
-	for k, p := range paths {
-		out = append(out, pathJSON{From: k[0], To: k[1], PathMeasurement: p})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].From != out[j].From {
-			return out[i].From < out[j].From
-		}
-		return out[i].To < out[j].To
-	})
 	return out
 }
 

@@ -116,25 +116,15 @@ func main() {
 		for range time.Tick(*poll) {
 			repo.PollAll()
 			for _, po := range repo.Scan() {
-				if po.At == 0 {
+				rec := po.Record()
+				if rec.At == 0 || lastAt[rec.Path] == rec.At {
 					continue
-				}
-				p := coord.Path{From: po.Origin, To: po.Remote}
-				if lastAt[p] == po.At {
-					continue
-				}
-				rec := coord.Record{
-					Path: p, At: po.At, Mbps: po.Estimate.Mbps,
-					Kind: po.Estimate.Kind.String(), Quality: po.Estimate.Quality,
-				}
-				if po.LatencyOK {
-					rec.LatencyMs = po.LatencyMs
 				}
 				if _, err := store.Put(rec); err != nil {
-					logger.Warn("store put", "path", p, "err", err)
+					logger.Warn("store put", "path", rec.Path, "err", err)
 					continue
 				}
-				lastAt[p] = po.At
+				lastAt[rec.Path] = rec.At
 			}
 		}
 	}()

@@ -65,18 +65,14 @@ func main() {
 	n := m.Poll()
 
 	fmt.Printf("%d records, %d observations\n", len(records), n)
-	for _, remote := range m.Remotes() {
-		if remote == "\x00eof" {
+	for _, po := range m.Scan() {
+		if po.Remote == "\x00eof" || po.Estimate.Count == 0 {
 			continue
 		}
-		est, ok := m.AvailableBandwidth(remote)
-		if !ok {
-			continue
-		}
-		lat, _ := m.Latency(remote)
+		est := po.Estimate
 		fmt.Printf("%s -> %s: %.2f Mbit/s (%s, bracket %.2f..%.2f, %d obs, quality %.2f), latency %.3f ms\n",
-			name, remote, est.Mbps, est.Kind, est.Lo, est.Hi, est.Count, est.Quality, lat)
-		for _, o := range m.Observations(remote, 0) {
+			name, po.Remote, est.Mbps, est.Kind, est.Lo, est.Hi, est.Count, est.Quality, po.LatencyMs)
+		for _, o := range m.Observations(po.Remote, 0) {
 			fmt.Printf("  t=%.3fs isr=%8.2f congested=%v len=%d\n",
 				float64(o.At)/1e9, o.ISRMbps, o.Congested, o.TrainLen)
 		}

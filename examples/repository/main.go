@@ -78,13 +78,10 @@ loop:
 	fmt.Printf("forwarder: %d records shipped, %d filtered out locally\n", sent, filtered)
 	fmt.Printf("repository: %d batches / %d records received, %d observations\n",
 		batches, records, obs)
-	for _, origin := range repo.Origins() {
-		m, _ := repo.Monitor(origin)
-		for _, remote := range m.Remotes() {
-			if est, ok := m.AvailableBandwidth(remote); ok {
-				fmt.Printf("  %s -> %s: %.1f Mbit/s (%s, true link 20.0)\n",
-					origin, remote, est.Mbps, est.Kind)
-			}
+	for _, po := range repo.Scan() {
+		if po.Estimate.Count > 0 {
+			fmt.Printf("  %s -> %s: %.1f Mbit/s (%s, true link 20.0)\n",
+				po.Origin, po.Remote, po.Estimate.Mbps, po.Estimate.Kind)
 		}
 	}
 }

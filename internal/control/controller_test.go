@@ -20,6 +20,7 @@ import (
 	"freemeasure/internal/vnet"
 	"freemeasure/internal/vttif"
 	"freemeasure/internal/wren"
+	"freemeasure/internal/wren/coord"
 )
 
 // testSystem is a live 4-node star with one VM per host and a ViewSource
@@ -78,17 +79,17 @@ func (s *testSystem) migrator() vnet.Migrator {
 // one fast 80 Mbps direct path between h1 and h2 — the measurement plane's
 // view — and an all-to-all traffic matrix with the VM0->VM1 pair hot.
 func (s *testSystem) feedMeasurements(hosts []string) {
-	now := time.Now()
-	meas := func(mbps float64) vnet.PathMeasurement {
-		return vnet.PathMeasurement{Mbps: mbps, Kind: "test", Quality: 1,
-			BWFound: true, LatencyMs: 1, LatFound: true, UpdatedAt: now}
+	now := time.Now().UnixNano()
+	set := func(from, to string, mbps float64) {
+		s.overlay.View.SetPath(coord.Record{Path: coord.Path{From: from, To: to}, At: now,
+			Mbps: mbps, LatencyMs: 1, Kind: "test", Quality: 1})
 	}
 	for _, h := range hosts {
-		s.overlay.View.SetPath(h, "proxy", meas(10))
-		s.overlay.View.SetPath("proxy", h, meas(10))
+		set(h, "proxy", 10)
+		set("proxy", h, 10)
 	}
-	s.overlay.View.SetPath("h1", "h2", meas(80))
-	s.overlay.View.SetPath("h2", "h1", meas(80))
+	set("h1", "h2", 80)
+	set("h2", "h1", 80)
 
 	traffic := make(map[vttif.Pair]uint64)
 	for i := range s.vms {

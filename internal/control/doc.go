@@ -19,6 +19,27 @@
 //     reconfigures a live overlay transactionally (with rollback on
 //     partial failure), LogApplier dry-runs for observe-only deployments.
 //
+// A path measurement has one shape on every route into the sense phase:
+//
+//	wren.Monitor.Scan -> PathObservation.Record() -> coord.Record
+//	  -> { "wren" control report -> vnet.GlobalView
+//	     | coord.Store -> BuildMap -> published BandwidthMap
+//	     | Wren SOAP service }
+//	  -> sense chain link: func(from, to string) (coord.Record, bool)
+//	  -> PathProvenance
+//
+// ViewSource and SOAPSource answer every host pair through the same
+// ordered chain (demanded direction, then reverse, per link; then hub-leg
+// composition where there is a hub; then defaults) and differ only in
+// their first link. Record.At is the observation time and nothing
+// re-stamps it on receipt, so PathProvenance.AgeSec and Fusion.StaleAfter
+// mean the same on every route. The shapes that remain each add
+// something: wren.Estimate (bracket and window count), wren.PathObservation
+// (one monitor row, before the bracket is dropped), coord.Record (the path
+// record), PathProvenance (what the decision saw: source and age, including
+// fallbacks no record backs), estimator.Estimate (the estimator zoo's
+// return type).
+//
 // Every cycle is explainable after the fact: Config.Logger writes one
 // structured log line per noteworthy cycle, and Config.Flight records
 // sense/decide/apply spans plus the gate verdict onto the decision

@@ -179,53 +179,41 @@ func (f *Fusion) fuse(bw float64, prov PathProvenance) (float64, PathProvenance)
 	return mbps, prov
 }
 
-// reading is one link's answer for a host pair: zero latMs means "not
-// measured, keep the default", a zero at means "no timestamp".
-type reading struct {
-	source  string
-	mbps    float64
-	latMs   float64
-	kind    string
-	quality float64
-	at      time.Time
-}
-
 // link is one rung of the sense chain: a lookup for an exact direction,
 // and the provenance its answers carry when found forward and in reverse.
 type link struct {
-	look     func(from, to string) (reading, bool)
+	look     func(from, to string) (coord.Record, bool)
 	fwd, rev string
 }
 
-// try asks the link for the pair, demanded direction first, then reverse.
-// Overlay paths are near-symmetric, so the reverse measurement beats a
-// fabricated default: passive measurement only ever sees the direction
-// the application sends in, and an optimistic default on the silent
-// reverse direction makes swapping a VM pair look like a large objective
-// gain when it changes nothing.
-func (l link) try(from, to string) (reading, bool) {
-	if r, ok := l.look(from, to); ok {
-		r.source = l.fwd
-		return r, true
+// try asks the link for the pair, demanded direction first, then reverse;
+// a record without a bandwidth is no answer. Overlay paths are
+// near-symmetric, so the reverse measurement beats a fabricated default:
+// passive measurement only ever sees the direction the application sends
+// in, and an optimistic default on the silent reverse direction makes
+// swapping a VM pair look like a large objective gain when it changes
+// nothing.
+func (l link) try(from, to string) (coord.Record, string, bool) {
+	if r, ok := l.look(from, to); ok && r.Mbps > 0 {
+		return r, l.fwd, true
 	}
-	if r, ok := l.look(to, from); ok {
-		r.source = l.rev
-		return r, true
+	if r, ok := l.look(to, from); ok && r.Mbps > 0 {
+		return r, l.rev, true
 	}
-	return reading{}, false
+	return coord.Record{}, "", false
 }
 
 // sense is the per-Snapshot sensing context: the distinct shard views and
 // the published map are resolved once, not once per host pair, and every
 // pair is answered by the same ordered chain —
 //
-//	live shard views -> published bandwidth map -> hub-leg composition -> defaults
+//	live shard views | SOAP endpoints -> published bandwidth map -> hub-leg composition -> defaults
 //
-// — the first two tried in both directions.
+// — the measured links tried in both directions.
 type sense struct {
 	views         []*vnet.GlobalView
 	chain         []link
-	hub           string
+	hub           string // "" when there is no star to compose legs through
 	defBW, defLat float64
 	fusion        *Fusion
 }
@@ -247,82 +235,64 @@ func (s *ViewSource) newSense() *sense {
 	}
 	sn.chain = []link{{look: sn.lookLive, fwd: "direct", rev: "reverse"}}
 	if s.Map != nil {
+		// A map entry is a real measurement of the exact pair, just possibly
+		// older than the live view, so it ranks after it and before anything
+		// composed or defaulted.
 		if m := s.Map(); m != nil {
-			sn.chain = append(sn.chain, link{look: published(m), fwd: "map", rev: "map"})
+			sn.chain = append(sn.chain, link{look: m.Lookup, fwd: "map", rev: "map"})
 		}
 	}
 	return sn
 }
 
 // lookLive finds the pair's Wren measurement across all shard views,
-// preferring the freshest when several shards have one (a host that
-// re-homed leaves a stale copy at its old shard).
-func (sn *sense) lookLive(from, to string) (reading, bool) {
-	var best vnet.PathMeasurement
+// preferring the freshest observation when several shards have one (a
+// host that re-homed leaves a stale copy at its old shard).
+func (sn *sense) lookLive(from, to string) (coord.Record, bool) {
+	var best coord.Record
 	found := false
 	for _, v := range sn.views {
-		if p, ok := v.Path(from, to); ok && (!found || p.UpdatedAt.After(best.UpdatedAt)) {
-			best, found = p, true
+		if r, ok := v.Path(from, to); ok && (!found || r.At > best.At) {
+			best, found = r, true
 		}
 	}
-	if !found || !best.BWFound || best.Mbps <= 0 {
-		return reading{}, false
-	}
-	r := reading{mbps: best.Mbps, kind: best.Kind, quality: best.Quality, at: best.UpdatedAt}
-	if best.LatFound && best.LatencyMs > 0 {
-		r.latMs = best.LatencyMs
-	}
-	return r, true
-}
-
-// published looks pairs up in the coordination tier's bandwidth map: a
-// real measurement of the exact pair, just possibly older than the live
-// view, so it ranks after it and before anything composed or defaulted.
-func published(m *coord.BandwidthMap) func(from, to string) (reading, bool) {
-	return func(from, to string) (reading, bool) {
-		e, ok := m.Lookup(from, to)
-		if !ok || e.Mbps <= 0 {
-			return reading{}, false
-		}
-		r := reading{mbps: e.Mbps, latMs: e.LatencyMs, kind: e.Kind, quality: e.Quality}
-		if e.At > 0 {
-			r.at = time.Unix(0, e.At)
-		}
-		return r, true
-	}
+	return best, found
 }
 
 // tail ends the chain for a pair nothing measured directly: the two star
 // legs through the hub composed (bottleneck of the bandwidths, capped at
-// the default; sum of the latencies; the older leg's age; the bottleneck
-// leg's estimator) when the live view has either, otherwise the defaults.
-// On the initial star topology all traffic transits the hub, so the leg
-// measurements are what Wren actually has.
-func (sn *sense) tail(from, to string) reading {
-	r := reading{source: "default", mbps: sn.defBW}
+// the default; sum of the latencies; the older leg's timestamp; the
+// bottleneck leg's estimator) when the live view has either, otherwise
+// the defaults. On the initial star topology all traffic transits the
+// hub, so the leg measurements are what Wren actually has.
+func (sn *sense) tail(from, to string) (coord.Record, string) {
+	r, source := coord.Record{Mbps: sn.defBW}, "default"
+	if sn.hub == "" {
+		return r, source
+	}
 	for _, leg := range [2][2]string{{from, sn.hub}, {sn.hub, to}} {
 		// Either direction of a leg will do; its own source name is dropped.
-		p, ok := link{look: sn.lookLive}.try(leg[0], leg[1])
+		p, _, ok := link{look: sn.lookLive}.try(leg[0], leg[1])
 		if !ok {
 			continue
 		}
-		r.source = "hub-legs"
-		if p.mbps < r.mbps {
-			r.mbps, r.kind, r.quality = p.mbps, p.kind, p.quality
+		source = "hub-legs"
+		if p.Mbps < r.Mbps {
+			r.Mbps, r.Kind, r.Quality = p.Mbps, p.Kind, p.Quality
 		}
-		r.latMs += p.latMs
-		if !p.at.IsZero() && (r.at.IsZero() || p.at.Before(r.at)) {
-			r.at = p.at
+		r.LatencyMs += p.LatencyMs
+		if p.At != 0 && (r.At == 0 || p.At < r.At) {
+			r.At = p.At
 		}
 	}
-	return r
+	return r, source
 }
 
 // read walks the chain: the first link with an answer, else the tail.
-func (sn *sense) read(from, to string) reading {
+func (sn *sense) read(from, to string) (coord.Record, string) {
 	for _, l := range sn.chain {
-		if r, ok := l.try(from, to); ok {
-			return r
+		if r, source, ok := l.try(from, to); ok {
+			return r, source
 		}
 	}
 	return sn.tail(from, to)
@@ -330,20 +300,36 @@ func (sn *sense) read(from, to string) reading {
 
 // estimate returns the believed (bandwidth, latency) between two daemons
 // and their provenance. Whatever the chain read, this is the one place it
-// becomes a PathProvenance and the one place fusion may override it.
+// becomes a PathProvenance — age is time since the observation, not since
+// the report that carried it — and the one place fusion may override it.
 func (sn *sense) estimate(from, to string) (bw, lat float64, prov PathProvenance) {
-	r := sn.read(from, to)
-	bw, lat = r.mbps, r.latMs
+	r, source := sn.read(from, to)
+	bw, lat = r.Mbps, r.LatencyMs
 	if lat <= 0 {
 		lat = sn.defLat
 	}
 	prov = PathProvenance{From: from, To: to, Mbps: bw, LatencyMs: lat,
-		Source: r.source, Kind: r.kind, Quality: r.quality}
-	if !r.at.IsZero() {
-		prov.AgeSec = time.Since(r.at).Seconds()
+		Source: source, Kind: r.Kind, Quality: r.Quality}
+	if r.At != 0 {
+		prov.AgeSec = time.Since(time.Unix(0, r.At)).Seconds()
 	}
 	bw, prov = sn.fusion.fuse(bw, prov)
 	return bw, lat, prov
+}
+
+// hostGraph senses every ordered host pair into the problem's complete
+// host graph, keeping each pair's provenance.
+func (sn *sense) hostGraph(names []string) (*topology.Graph, []PathProvenance) {
+	var prov []PathProvenance
+	g := topology.Complete(len(names), func(from, to topology.NodeID) (float64, float64) {
+		bw, lat, p := sn.estimate(names[from], names[to])
+		prov = append(prov, p)
+		return bw, lat
+	})
+	for i, name := range names {
+		g.SetName(topology.NodeID(i), name)
+	}
+	return g, prov
 }
 
 // demandRates merges the VTTIF rate matrices across shard views. Each
@@ -370,15 +356,9 @@ func (s *ViewSource) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("control: no hosts")
 	}
 	sn := s.newSense()
-	var prov []PathProvenance
-	g := topology.Complete(n, func(from, to topology.NodeID) (float64, float64) {
-		bw, lat, p := sn.estimate(names[from], names[to])
-		prov = append(prov, p)
-		return bw, lat
-	})
+	g, prov := sn.hostGraph(names)
 	idx := make(map[string]topology.NodeID, n)
 	for i, name := range names {
-		g.SetName(topology.NodeID(i), name)
 		idx[name] = topology.NodeID(i)
 	}
 	vms := s.VMs()
@@ -470,6 +450,24 @@ type SOAPSource struct {
 // configured.
 const defaultSOAPTimeout = 5 * time.Second
 
+// newSense dials the endpoints on first use and builds the SOAP chain:
+// like ViewSource, the reverse direction's measurement stands in before
+// the defaults; there is no hub to compose legs through.
+func (s *SOAPSource) newSense() *sense {
+	if s.clients == nil {
+		s.clients = make([]*wren.Client, len(s.Endpoints))
+		for i, url := range s.Endpoints {
+			s.clients[i] = wren.NewClient(url)
+			s.clients[i].SetTimeout(cmp.Or(s.Timeout, defaultSOAPTimeout))
+		}
+	}
+	return &sense{
+		chain:  []link{{look: s.lookSOAP, fwd: "direct", rev: "reverse"}},
+		defBW:  cmp.Or(s.DefaultLinkMbps, 100),
+		defLat: cmp.Or(s.DefaultLatencyMs, 1),
+	}
+}
+
 // Snapshot implements ProblemSource.
 func (s *SOAPSource) Snapshot() (*Snapshot, error) {
 	n := len(s.Hosts)
@@ -477,61 +475,13 @@ func (s *SOAPSource) Snapshot() (*Snapshot, error) {
 		return nil, fmt.Errorf("control: need one SOAP endpoint per host (%d hosts, %d endpoints)",
 			n, len(s.Endpoints))
 	}
-	if s.clients == nil {
-		timeout := s.Timeout
-		if timeout == 0 {
-			timeout = defaultSOAPTimeout
-		}
-		s.clients = make([]*wren.Client, n)
-		for i, url := range s.Endpoints {
-			s.clients[i] = wren.NewClient(url)
-			s.clients[i].SetTimeout(timeout)
-		}
-	}
-	defBW, defLat := s.DefaultLinkMbps, s.DefaultLatencyMs
-	if defBW == 0 {
-		defBW = 100
-	}
-	if defLat == 0 {
-		defLat = 1
-	}
-	// Like ViewSource, fall back to the reverse direction's measurement
-	// before the defaults: passive measurement only covers directions the
-	// application actually sends in.
-	var prov []PathProvenance
-	dirNames := [2]string{"direct", "reverse"}
-	g := topology.Complete(n, func(from, to topology.NodeID) (float64, float64) {
-		p := PathProvenance{From: s.Hosts[from], To: s.Hosts[to], Source: "default"}
-		bw, lat := defBW, defLat
-		for i, dir := range [2][2]topology.NodeID{{from, to}, {to, from}} {
-			est, found, err := s.clients[dir[0]].AvailableBandwidth(s.Hosts[dir[1]])
-			if err == nil && found && est.Mbps > 0 {
-				bw = est.Mbps
-				p.Source = dirNames[i]
-				p.Kind, p.Quality = est.Kind.String(), est.Quality
-				break
-			}
-		}
-		for _, dir := range [2][2]topology.NodeID{{from, to}, {to, from}} {
-			l, found, err := s.clients[dir[0]].Latency(s.Hosts[dir[1]])
-			if err == nil && found && l > 0 {
-				lat = l
-				break
-			}
-		}
-		p.Mbps, p.LatencyMs = bw, lat
-		prov = append(prov, p)
-		return bw, lat
-	})
+	g, prov := s.newSense().hostGraph(s.Hosts)
 	macs := make([]ethernet.MAC, s.NumVMs)
 	for i := range macs {
 		macs[i] = ethernet.VMMAC(i)
 	}
 	mapping := append([]topology.NodeID(nil), s.Mapping...)
 	demands := append([]vadapt.Demand(nil), s.Demands...)
-	for i, name := range s.Hosts {
-		g.SetName(topology.NodeID(i), name)
-	}
 	return &Snapshot{
 		Problem:    &vadapt.Problem{Hosts: g, NumVMs: s.NumVMs, Demands: demands},
 		Hosts:      append([]string(nil), s.Hosts...),
@@ -539,6 +489,23 @@ func (s *SOAPSource) Snapshot() (*Snapshot, error) {
 		Mapping:    mapping,
 		Provenance: prov,
 	}, nil
+}
+
+// lookSOAP asks from's Wren service for its measurement toward to. An
+// endpoint that errors or has nothing is no answer; the service exposes no
+// observation time, so the record carries none.
+func (s *SOAPSource) lookSOAP(from, to string) (coord.Record, bool) {
+	c := s.clients[slices.Index(s.Hosts, from)]
+	est, found, err := c.AvailableBandwidth(to)
+	if err != nil || !found {
+		return coord.Record{}, false
+	}
+	rec := coord.Record{Path: coord.Path{From: from, To: to}, Mbps: est.Mbps,
+		Kind: est.Kind.String(), Quality: est.Quality}
+	if l, found, err := c.Latency(to); err == nil && found {
+		rec.LatencyMs = l
+	}
+	return rec, true
 }
 
 // StaticSource replays a fixed snapshot — offline planning and tests.

@@ -1,12 +1,19 @@
 package control
 
 import (
+	"encoding/xml"
+	"fmt"
+	"net/http"
+	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
 	"freemeasure/internal/ethernet"
+	"freemeasure/internal/soap"
 	"freemeasure/internal/vnet"
 	"freemeasure/internal/vttif"
+	"freemeasure/internal/wren"
 	"freemeasure/internal/wren/coord"
 )
 
@@ -14,6 +21,12 @@ import (
 // (Snapshot shares one across all pairs).
 func (s *ViewSource) estimate(from, to string) (bw, lat float64, prov PathProvenance) {
 	return s.newSense().estimate(from, to)
+}
+
+// measured is a bandwidth-only record observed age ago.
+func measured(from, to string, mbps float64, age time.Duration) coord.Record {
+	return coord.Record{Path: coord.Path{From: from, To: to}, Mbps: mbps,
+		At: time.Now().Add(-age).UnixNano()}
 }
 
 // fusionView builds a ViewSource over a bare GlobalView with the given
@@ -60,9 +73,7 @@ func TestFusionDefersToFreshPassive(t *testing.T) {
 			return 0, false
 		},
 	})
-	view.SetPath("a", "b", vnet.PathMeasurement{
-		Mbps: 77, BWFound: true, UpdatedAt: time.Now(),
-	})
+	view.SetPath(measured("a", "b", 77, 0))
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 77 || prov.Source != "direct" {
 		t.Fatalf("got %v/%s, want the passive 77/direct", bw, prov.Source)
@@ -76,12 +87,36 @@ func TestFusionOverridesStalePassive(t *testing.T) {
 		StaleAfter: 10 * time.Second,
 		OnDemand:   func(from, to string) (float64, bool) { return 33, true },
 	})
-	view.SetPath("a", "b", vnet.PathMeasurement{
-		Mbps: 77, BWFound: true, UpdatedAt: time.Now().Add(-time.Minute),
-	})
+	view.SetPath(measured("a", "b", 77, time.Minute))
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 33 || prov.Source != "active-probe" {
 		t.Fatalf("got %v/%s, want the active 33/active-probe", bw, prov.Source)
+	}
+}
+
+// TestReportedObservationKeepsItsAge is the regression test for the
+// re-stamping bug: a "wren" control report whose record was observed an
+// hour ago must reach the sense chain an hour old — not as fresh as the
+// report that carried it — so the fusion policy sees it is stale and asks
+// the active plane.
+func TestReportedObservationKeepsItsAge(t *testing.T) {
+	asked := 0
+	src, view := fusionView(&Fusion{
+		StaleAfter: 30 * time.Second,
+		OnDemand:   func(from, to string) (float64, bool) { asked++; return 0, false },
+	})
+	at := time.Now().Add(-time.Hour).UnixNano()
+	view.HandleControl("a", []byte(fmt.Sprintf(
+		`{"kind":"wren","wren":[{"path":{"From":"a","To":"b"},"at":%d,"mbps":77,"kind":"exact","quality":1}]}`, at)))
+	bw, _, prov := src.estimate("a", "b")
+	if bw != 77 || prov.Source != "direct" {
+		t.Fatalf("got %v/%s, want the reported 77/direct", bw, prov.Source)
+	}
+	if prov.AgeSec < 3599 || prov.AgeSec > 3660 {
+		t.Fatalf("age_sec = %v, want the observation's ~3600, not the report's", prov.AgeSec)
+	}
+	if asked != 1 {
+		t.Fatalf("OnDemand consulted %d times for an hour-old measurement, want 1", asked)
 	}
 }
 
@@ -121,13 +156,13 @@ func TestViewSourceAggregatesShardPaths(t *testing.T) {
 		VMs:    func() []VMInfo { return nil },
 	}
 	// Only shard2 holds the measurement.
-	shard2.SetPath("a", "b", vnet.PathMeasurement{Mbps: 55, BWFound: true, UpdatedAt: time.Now()})
+	shard2.SetPath(measured("a", "b", 55, 0))
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 55 || prov.Source != "direct" {
 		t.Fatalf("got %v/%s, want 55/direct from the second shard", bw, prov.Source)
 	}
 	// A stale pre-re-home copy in shard1 must lose to shard2's fresh one.
-	shard1.SetPath("a", "b", vnet.PathMeasurement{Mbps: 11, BWFound: true, UpdatedAt: time.Now().Add(-time.Hour)})
+	shard1.SetPath(measured("a", "b", 11, time.Hour))
 	if bw, _, _ := src.estimate("a", "b"); bw != 55 {
 		t.Fatalf("stale shard copy won: got %v, want 55", bw)
 	}
@@ -191,7 +226,7 @@ func mapView(m *coord.BandwidthMap) (*ViewSource, *vnet.GlobalView) {
 // TestMapFillsUnmeasuredPair: with nothing in the live view, the
 // published map's entry supplies the estimate, attributed as "map".
 func TestMapFillsUnmeasuredPair(t *testing.T) {
-	src, _ := mapView(&coord.BandwidthMap{Entries: []coord.MapEntry{
+	src, _ := mapView(&coord.BandwidthMap{Entries: []coord.Record{
 		{Path: coord.Path{From: "a", To: "b"}, Mbps: 62, LatencyMs: 2.5,
 			Kind: "exact", Quality: 0.8, At: time.Now().Add(-5 * time.Second).UnixNano()},
 	}})
@@ -210,7 +245,7 @@ func TestMapFillsUnmeasuredPair(t *testing.T) {
 // TestMapReverseDirection: like the live view, the reverse direction's
 // map entry stands in when the demanded one is absent.
 func TestMapReverseDirection(t *testing.T) {
-	src, _ := mapView(&coord.BandwidthMap{Entries: []coord.MapEntry{
+	src, _ := mapView(&coord.BandwidthMap{Entries: []coord.Record{
 		{Path: coord.Path{From: "b", To: "a"}, Mbps: 48},
 	}})
 	bw, _, prov := src.estimate("a", "b")
@@ -222,10 +257,10 @@ func TestMapReverseDirection(t *testing.T) {
 // TestLiveViewBeatsMap: a live Wren measurement outranks the published
 // map — the map is for pairs the live view cannot answer.
 func TestLiveViewBeatsMap(t *testing.T) {
-	src, view := mapView(&coord.BandwidthMap{Entries: []coord.MapEntry{
+	src, view := mapView(&coord.BandwidthMap{Entries: []coord.Record{
 		{Path: coord.Path{From: "a", To: "b"}, Mbps: 10},
 	}})
-	view.SetPath("a", "b", vnet.PathMeasurement{Mbps: 90, BWFound: true, UpdatedAt: time.Now()})
+	view.SetPath(measured("a", "b", 90, 0))
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 90 || prov.Source != "direct" {
 		t.Fatalf("got %v/%s, want the live 90/direct over the map", bw, prov.Source)
@@ -239,7 +274,7 @@ func TestMapAbsentFallsThrough(t *testing.T) {
 	if bw, _, prov := src.estimate("a", "b"); bw != 100 || prov.Source != "default" {
 		t.Fatalf("nil map: got %v/%s, want 100/default", bw, prov.Source)
 	}
-	src2, _ := mapView(&coord.BandwidthMap{Entries: []coord.MapEntry{
+	src2, _ := mapView(&coord.BandwidthMap{Entries: []coord.Record{
 		{Path: coord.Path{From: "x", To: "y"}, Mbps: 5},
 	}})
 	if bw, _, prov := src2.estimate("a", "b"); bw != 100 || prov.Source != "default" {
@@ -250,7 +285,7 @@ func TestMapAbsentFallsThrough(t *testing.T) {
 // TestFusionOverridesStaleMapEntry: the fusion policy treats an aged map
 // entry like any stale passive measurement and lets the active probe win.
 func TestFusionOverridesStaleMapEntry(t *testing.T) {
-	src, _ := mapView(&coord.BandwidthMap{Entries: []coord.MapEntry{
+	src, _ := mapView(&coord.BandwidthMap{Entries: []coord.Record{
 		{Path: coord.Path{From: "a", To: "b"}, Mbps: 20,
 			At: time.Now().Add(-time.Minute).UnixNano()},
 	}})
@@ -264,27 +299,72 @@ func TestFusionOverridesStaleMapEntry(t *testing.T) {
 	}
 }
 
-// TestEstimateChainComposition walks the tail of the sense chain on a
-// star: nothing measured, the two hub legs composed, a direct measurement
-// outranking the legs, and the reverse direction standing in — each row
-// pinning the numbers and the provenance (source, estimator kind, age).
+// soapSense builds a SOAPSource's sensing context over hosts a and b, each
+// served by a stub Wren SOAP endpoint answering from the records that
+// start at it; a host listed in down gets an endpoint that fails every
+// call.
+func soapSense(t *testing.T, paths []coord.Record, down []string) *sense {
+	src := &SOAPSource{Hosts: []string{"a", "b"}, Timeout: time.Second}
+	for _, host := range src.Hosts {
+		var h http.Handler = http.NotFoundHandler()
+		if !slices.Contains(down, host) {
+			find := func(remote string) (coord.Record, bool) {
+				i := slices.IndexFunc(paths, func(r coord.Record) bool {
+					return r.Path == coord.Path{From: host, To: remote}
+				})
+				if i < 0 {
+					return coord.Record{}, false
+				}
+				return paths[i], true
+			}
+			svc := soap.NewServer()
+			svc.Handle("GetAvailableBandwidth", func(body []byte) (interface{}, error) {
+				var req wren.AvailBWRequest
+				if err := xml.Unmarshal(body, &req); err != nil {
+					return nil, err
+				}
+				r, ok := find(req.Remote)
+				return &wren.AvailBWResponse{Found: ok, Mbps: r.Mbps, Kind: r.Kind, Quality: r.Quality}, nil
+			})
+			svc.Handle("GetLatency", func(body []byte) (interface{}, error) {
+				var req wren.LatencyRequest
+				if err := xml.Unmarshal(body, &req); err != nil {
+					return nil, err
+				}
+				r, ok := find(req.Remote)
+				return &wren.LatencyResponse{Found: ok && r.LatencyMs > 0, Ms: r.LatencyMs}, nil
+			})
+			h = svc
+		}
+		srv := httptest.NewServer(h)
+		t.Cleanup(srv.Close)
+		src.Endpoints = append(src.Endpoints, srv.URL)
+	}
+	return src.newSense()
+}
+
+// TestEstimateChainComposition walks the sense chain for one pair, a->b,
+// over both measured first links. On a star's live view: nothing
+// measured, the two hub legs composed, a direct measurement outranking
+// the legs, and the reverse direction standing in. Over SOAP endpoints:
+// the same direct -> reverse -> default order with no hub to compose
+// through and no observation time to age. Each row pins the numbers and
+// the provenance (source, estimator kind, age).
 func TestEstimateChainComposition(t *testing.T) {
 	now := time.Now()
-	meas := func(mbps, latMs float64, kind string, age time.Duration) vnet.PathMeasurement {
-		return vnet.PathMeasurement{Mbps: mbps, BWFound: true, LatencyMs: latMs, LatFound: latMs > 0,
-			Kind: kind, Quality: 0.5, UpdatedAt: now.Add(-age)}
+	meas := func(from, to string, mbps, latMs float64, kind string, age time.Duration) coord.Record {
+		return coord.Record{Path: coord.Path{From: from, To: to}, Mbps: mbps, LatencyMs: latMs,
+			Kind: kind, Quality: 0.5, At: now.Add(-age).UnixNano()}
 	}
-	type path struct {
-		from, to string
-		m        vnet.PathMeasurement
-	}
-	legs := []path{
-		{"a", "proxy", meas(50, 2, "up", 10*time.Second)},
-		{"proxy", "b", meas(30, 3, "down", 40*time.Second)},
+	legs := []coord.Record{
+		meas("a", "proxy", 50, 2, "up", 10*time.Second),
+		meas("proxy", "b", 30, 3, "down", 40*time.Second),
 	}
 	cases := []struct {
 		name           string
-		paths          []path
+		paths          []coord.Record
+		soap           bool     // sensed by SOAPSource's chain, not ViewSource's
+		down           []string // SOAP hosts whose endpoint fails every call
 		bw, lat        float64
 		source, kind   string
 		minAge, maxAge float64
@@ -296,23 +376,47 @@ func TestEstimateChainComposition(t *testing.T) {
 		// One leg is enough to compose; the other contributes nothing.
 		{name: "one leg", paths: legs[:1], bw: 50, lat: 2, source: "hub-legs", kind: "up", minAge: 10, maxAge: 40},
 		// A leg faster than the default is capped by it and names no estimator.
-		{name: "leg above default", paths: []path{{"a", "proxy", meas(400, 2, "up", time.Second)}},
+		{name: "leg above default", paths: []coord.Record{meas("a", "proxy", 400, 2, "up", time.Second)},
 			bw: 100, lat: 2, source: "hub-legs", minAge: 1, maxAge: 40},
-		{name: "direct wins", paths: append([]path{{"a", "b", meas(70, 0, "exact", 5*time.Second)}}, legs...),
+		{name: "direct wins", paths: append([]coord.Record{meas("a", "b", 70, 0, "exact", 5*time.Second)}, legs...),
 			bw: 70, lat: 1, source: "direct", kind: "exact", minAge: 5, maxAge: 40},
-		{name: "reverse stands in", paths: append([]path{{"b", "a", meas(60, 4, "exact", 5*time.Second)}}, legs...),
+		{name: "reverse stands in", paths: append([]coord.Record{meas("b", "a", 60, 4, "exact", 5*time.Second)}, legs...),
 			bw: 60, lat: 4, source: "reverse", kind: "exact", minAge: 5, maxAge: 40},
 		// Legs are looked up in both directions too.
-		{name: "reversed legs", paths: []path{{"proxy", "a", meas(20, 1, "up", time.Second)}, {"b", "proxy", meas(25, 1, "down", time.Second)}},
+		{name: "reversed legs", paths: []coord.Record{meas("proxy", "a", 20, 1, "up", time.Second), meas("b", "proxy", 25, 1, "down", time.Second)},
 			bw: 20, lat: 2, source: "hub-legs", kind: "up", minAge: 1, maxAge: 40},
+		// A record that carries no bandwidth is no answer, whatever else it has.
+		{name: "latency-only record", paths: []coord.Record{meas("a", "b", 0, 4, "exact", time.Second)},
+			bw: 100, lat: 1, source: "default"},
+
+		{name: "soap default", soap: true, bw: 100, lat: 1, source: "default"},
+		{name: "soap direct", soap: true, paths: []coord.Record{meas("a", "b", 70, 2, "lower-bound", 0), meas("b", "a", 60, 4, "exact", 0)},
+			bw: 70, lat: 2, source: "direct", kind: "lower-bound"},
+		{name: "soap reverse only", soap: true, paths: []coord.Record{meas("b", "a", 60, 4, "upper-bound", 0)},
+			bw: 60, lat: 4, source: "reverse", kind: "upper-bound"},
+		{name: "soap latency absent", soap: true, paths: []coord.Record{meas("a", "b", 70, 0, "exact", 0)},
+			bw: 70, lat: 1, source: "direct", kind: "exact"},
+		// A failing endpoint is no answer: its peer's measurement stands
+		// in, and with none the pair falls to the defaults.
+		{name: "soap endpoint error, reverse stands in", soap: true, down: []string{"a"},
+			paths: []coord.Record{meas("a", "b", 70, 2, "exact", 0), meas("b", "a", 60, 4, "exact", 0)},
+			bw:    60, lat: 4, source: "reverse", kind: "exact"},
+		{name: "soap endpoint error", soap: true, down: []string{"a"}, paths: []coord.Record{meas("a", "b", 70, 2, "exact", 0)},
+			bw: 100, lat: 1, source: "default"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			src, view := fusionView(nil)
-			for _, p := range tc.paths {
-				view.SetPath(p.from, p.to, p.m)
+			var sn *sense
+			if tc.soap {
+				sn = soapSense(t, tc.paths, tc.down)
+			} else {
+				src, view := fusionView(nil)
+				for _, r := range tc.paths {
+					view.SetPath(r)
+				}
+				sn = src.newSense()
 			}
-			bw, lat, prov := src.estimate("a", "b")
+			bw, lat, prov := sn.estimate("a", "b")
 			if bw != tc.bw || lat != tc.lat {
 				t.Fatalf("estimate = %v Mbit/s / %v ms, want %v / %v", bw, lat, tc.bw, tc.lat)
 			}

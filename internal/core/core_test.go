@@ -102,11 +102,11 @@ func slowHostSystem(t *testing.T) (s *System, v1, v2 *vm.VM) {
 	// worker; the wait exits as soon as the condition holds.
 	measuredAbove := func(a, b string, floor float64) bool {
 		pm, ok := s.Overlay().View.Path(a, b)
-		return ok && pm.BWFound && pm.Mbps > floor
+		return ok && pm.Mbps > floor
 	}
 	waitFor(t, "views", 45*time.Second, func() bool {
 		slow, ok := s.Overlay().View.Path("slowhost", "proxy")
-		return demandsSeen(s) && ok && slow.BWFound && slow.Mbps < 40 &&
+		return demandsSeen(s) && ok && slow.Mbps > 0 && slow.Mbps < 40 &&
 			measuredAbove("fast1", "proxy", 20) &&
 			measuredAbove("proxy", "fast1", 20)
 	})

@@ -141,23 +141,3 @@ func Greedy(p *Problem, ms ...*Metrics) *Config {
 	mapping := GreedyMapping(p)
 	return &Config{Mapping: mapping, Paths: GreedyPaths(p, mapping)}
 }
-
-// Migration is one VM move implied by a mapping change.
-type Migration struct {
-	VM   VMID
-	From topology.NodeID
-	To   topology.NodeID
-}
-
-// Migrations computes the difference between two mappings (section 4.2.1
-// step 8: "compute the differences between the current mapping and the new
-// mapping and issue migration instructions").
-func Migrations(old, new []topology.NodeID) []Migration {
-	var out []Migration
-	for vm := range new {
-		if vm < len(old) && old[vm] != new[vm] {
-			out = append(out, Migration{VM: VMID(vm), From: old[vm], To: new[vm]})
-		}
-	}
-	return out
-}

@@ -138,15 +138,3 @@ func TestGreedyFullChallengeFeasible(t *testing.T) {
 		t.Fatalf("greedy score = %v", ev.Score)
 	}
 }
-
-func TestMigrationsDiff(t *testing.T) {
-	old := []topology.NodeID{0, 1, 2}
-	new := []topology.NodeID{0, 3, 2}
-	m := Migrations(old, new)
-	if len(m) != 1 || m[0] != (Migration{VM: 1, From: 1, To: 3}) {
-		t.Fatalf("migrations = %v", m)
-	}
-	if Migrations(old, old) != nil {
-		t.Fatal("no-op diff should be nil")
-	}
-}

@@ -603,24 +603,19 @@ func (d *Daemon) InjectFrame(f *ethernet.Frame) {
 	d.traffic.AddFrame(f.Src, f.Dst, f.WireLen())
 	d.cnt.fromVMs.Add(1)
 	d.met.FramesFromVMs.Inc()
-	d.handleFrame(f, "", DefaultTTL)
+	d.handleFrame(f)
 }
 
 // handleFrame implements the forwarding table for frames materialized as
 // an ethernet.Frame (VM ingress): local delivery, explicit rule, learned
 // location, broadcast flood, or default route. Frames relayed between
 // peers take the zero-copy relayFrame path instead.
-func (d *Daemon) handleFrame(f *ethernet.Frame, fromPeer string, ttl byte) {
-	if fromPeer != "" {
-		// Learn where the source lives (bridge learning), so replies avoid
-		// extra hops through the default route.
-		d.learn(f.Src, fromPeer)
-	}
+func (d *Daemon) handleFrame(f *ethernet.Frame) {
 	if f.Dst.IsBroadcast() {
-		d.flood(f, fromPeer, ttl)
+		d.flood(f)
 		return
 	}
-	port, link := d.fwd.Load().route(f.Dst, fromPeer)
+	port, link := d.fwd.Load().route(f.Dst, "")
 	if port != nil {
 		d.cnt.delivered.Add(1)
 		d.met.FramesDelivered.Inc()
@@ -631,7 +626,7 @@ func (d *Daemon) handleFrame(f *ethernet.Frame, fromPeer string, ttl byte) {
 		d.drop()
 		return
 	}
-	d.forward(f, link, fromPeer, ttl)
+	d.forward(f, link)
 }
 
 // relayFrame routes a frame arriving from a peer using only its raw
@@ -682,18 +677,10 @@ func (d *Daemon) relayFrame(payload []byte, hdr ethernet.Header, fromPeer string
 }
 
 // forward sends a VM-ingress frame toward a peer, assembling the msgFrame
-// payload in a pooled buffer.
-func (d *Daemon) forward(f *ethernet.Frame, link *Link, fromPeer string, ttl byte) {
-	if fromPeer != "" { // transiting the overlay costs a hop
-		if ttl <= 1 {
-			d.cnt.ttlExpired.Add(1)
-			d.met.TTLExpired.Inc()
-			return
-		}
-		ttl--
-	}
+// payload in a pooled buffer. The first hop costs no TTL.
+func (d *Daemon) forward(f *ethernet.Frame, link *Link) {
 	bufp := msgBufs.Get().(*[]byte)
-	payload, err := encodeFramePayload(bufp, f, ttl)
+	payload, err := encodeFramePayload(bufp, f, DefaultTTL)
 	if err != nil {
 		msgBufs.Put(bufp)
 		d.drop()
@@ -724,35 +711,25 @@ func encodeFramePayload(bufp *[]byte, f *ethernet.Frame, ttl byte) ([]byte, erro
 	return payload, nil
 }
 
-// flood sends a VM-ingress broadcast everywhere except where it came from.
-func (d *Daemon) flood(f *ethernet.Frame, fromPeer string, ttl byte) {
+// flood sends a VM-ingress broadcast to every other local VM and out of
+// every link.
+func (d *Daemon) flood(f *ethernet.Frame) {
 	t := d.fwd.Load()
 	for mac, port := range t.vms {
 		if mac != f.Src {
 			port(f)
 		}
 	}
-	if fromPeer != "" {
-		if ttl <= 1 {
-			d.cnt.ttlExpired.Add(1)
-			d.met.TTLExpired.Inc()
-			return
-		}
-		ttl--
-	}
 	if len(t.links) == 0 {
 		return
 	}
 	bufp := msgBufs.Get().(*[]byte)
-	payload, err := encodeFramePayload(bufp, f, ttl)
+	payload, err := encodeFramePayload(bufp, f, DefaultTTL)
 	if err != nil {
 		msgBufs.Put(bufp)
 		return
 	}
-	for peer, link := range t.links {
-		if peer == fromPeer {
-			continue
-		}
+	for _, link := range t.links {
 		if err := link.sendFramePayload(payload); err == nil {
 			d.cnt.flooded.Add(1)
 			d.met.FramesFlooded.Inc()

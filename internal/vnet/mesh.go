@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"log/slog"
 	"sort"
-	"time"
 
 	"freemeasure/internal/ethernet"
 	"freemeasure/internal/obs"
@@ -414,13 +413,7 @@ func (o *Overlay) ShardViews() map[string]*GlobalView {
 // view (it has no link to push reports through).
 func proxySelfMeasure(p *Node, v *GlobalView) {
 	p.Wren.Poll()
-	name := p.Daemon.Name()
-	for _, remote := range p.Wren.Remotes() {
-		est, bwOK := p.Wren.AvailableBandwidth(remote)
-		lat, latOK := p.Wren.Latency(remote)
-		v.SetPath(name, remote, PathMeasurement{
-			Mbps: est.Mbps, Kind: est.Kind.String(), Quality: est.Quality,
-			BWFound: bwOK, LatencyMs: lat, LatFound: latOK, UpdatedAt: time.Now(),
-		})
+	for _, po := range p.Wren.Scan() {
+		v.SetPath(po.Record())
 	}
 }

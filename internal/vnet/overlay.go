@@ -4,12 +4,14 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"sort"
 	"sync"
 	"time"
 
 	"freemeasure/internal/ethernet"
 	"freemeasure/internal/vttif"
 	"freemeasure/internal/wren"
+	"freemeasure/internal/wren/coord"
 )
 
 // This file assembles whole overlays: the initial star around the Proxy
@@ -23,23 +25,14 @@ type controlMsg struct {
 	Kind        string      `json:"kind"` // "vttif" or "wren"
 	IntervalSec float64     `json:"intervalSec,omitempty"`
 	Pairs       []pairBytes `json:"pairs,omitempty"`
-	Wren        []wrenEntry `json:"wren,omitempty"`
+	// Wren is the sender's Monitor.Scan, one record per measured remote.
+	Wren []coord.Record `json:"wren,omitempty"`
 }
 
 type pairBytes struct {
 	Src   string `json:"src"` // hex MAC
 	Dst   string `json:"dst"`
 	Bytes uint64 `json:"bytes"`
-}
-
-type wrenEntry struct {
-	Remote    string  `json:"remote"`
-	Mbps      float64 `json:"mbps"`
-	Kind      string  `json:"kind"`
-	Quality   float64 `json:"quality"`
-	BWFound   bool    `json:"bwFound"`
-	LatencyMs float64 `json:"latencyMs"`
-	LatFound  bool    `json:"latFound"`
 }
 
 func macToHex(m ethernet.MAC) string { return hex.EncodeToString(m[:]) }
@@ -54,17 +47,6 @@ func hexToMAC(s string) (ethernet.MAC, error) {
 	return m, nil
 }
 
-// PathMeasurement is one entry of the Proxy's global physical-network view.
-type PathMeasurement struct {
-	Mbps      float64
-	Kind      string
-	Quality   float64
-	BWFound   bool
-	LatencyMs float64
-	LatFound  bool
-	UpdatedAt time.Time
-}
-
 // GlobalView lives at the Proxy: the global traffic matrix (via the VTTIF
 // aggregator) plus the available bandwidth and latency between every pair
 // of VNET daemons that exchange traffic. "In practice, only those pairs
@@ -72,14 +54,14 @@ type PathMeasurement struct {
 type GlobalView struct {
 	mu    sync.Mutex
 	Agg   *vttif.Aggregator
-	paths map[[2]string]PathMeasurement
+	paths map[coord.Path]coord.Record
 }
 
 // NewGlobalView creates an empty view.
 func NewGlobalView(cfg vttif.Config) *GlobalView {
 	return &GlobalView{
 		Agg:   vttif.NewAggregator(cfg),
-		paths: make(map[[2]string]PathMeasurement),
+		paths: make(map[coord.Path]coord.Record),
 	}
 }
 
@@ -109,39 +91,45 @@ func (g *GlobalView) HandleControl(fromPeer string, payload []byte) {
 			return
 		}
 	case "wren":
-		for _, w := range msg.Wren {
-			g.SetPath(fromPeer, w.Remote, PathMeasurement{
-				Mbps: w.Mbps, Kind: w.Kind, Quality: w.Quality, BWFound: w.BWFound,
-				LatencyMs: w.LatencyMs, LatFound: w.LatFound, UpdatedAt: time.Now(),
-			})
+		// A report describes the sender's own outgoing paths, and the link
+		// it arrived on — not the payload — says who the sender is. The
+		// observation time stays the reporter's: stamping receipt time here
+		// would make a long-silent path look fresh at every report.
+		for _, rec := range msg.Wren {
+			if rec.Path.To == "" {
+				continue
+			}
+			rec.Path.From = fromPeer
+			g.SetPath(rec)
 		}
 	}
 }
 
 // SetPath records one measurement directly (used by the Proxy's own Wren
 // monitor, which has no link to push through).
-func (g *GlobalView) SetPath(from, to string, p PathMeasurement) {
+func (g *GlobalView) SetPath(rec coord.Record) {
 	g.mu.Lock()
-	g.paths[[2]string{from, to}] = p
+	g.paths[rec.Path] = rec
 	g.mu.Unlock()
 }
 
 // Path returns the measurement for the daemon pair (from, to).
-func (g *GlobalView) Path(from, to string) (PathMeasurement, bool) {
+func (g *GlobalView) Path(from, to string) (coord.Record, bool) {
 	g.mu.Lock()
 	defer g.mu.Unlock()
-	p, ok := g.paths[[2]string{from, to}]
-	return p, ok
+	rec, ok := g.paths[coord.Path{From: from, To: to}]
+	return rec, ok
 }
 
-// Paths returns a copy of the whole physical-network view.
-func (g *GlobalView) Paths() map[[2]string]PathMeasurement {
+// Paths returns the whole physical-network view, sorted by path.
+func (g *GlobalView) Paths() []coord.Record {
 	g.mu.Lock()
-	defer g.mu.Unlock()
-	out := make(map[[2]string]PathMeasurement, len(g.paths))
-	for k, v := range g.paths {
-		out[k] = v
+	out := make([]coord.Record, 0, len(g.paths))
+	for _, rec := range g.paths {
+		out = append(out, rec)
 	}
+	g.mu.Unlock()
+	sort.Slice(out, func(i, j int) bool { return out[i].Path.Less(out[j].Path) })
 	return out
 }
 
@@ -271,50 +259,32 @@ func (o *Overlay) ConnectPairUDP(a, b string) error {
 // view (a proxy sees the proxy->host legs of every path through it).
 func (o *Overlay) StartReporting(interval time.Duration) {
 	for _, n := range o.Nodes {
-		n := n
-		o.reporters.Add(1)
-		go func() {
-			defer o.reporters.Done()
-			ticker := time.NewTicker(interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-o.stopCh:
-					return
-				case <-ticker.C:
-					n.Wren.Poll()
-					o.pushReports(n, interval.Seconds())
-				}
-			}
-		}()
+		// No fixed peer: reports follow the default route, so they land on
+		// the shard that survives a re-home.
+		o.every(interval, NewReporter(Reporting{Daemon: n.Daemon, Wren: n.Wren}, interval).ReportOnce)
 	}
 	for i, p := range o.Proxies {
-		p, v := p, o.Views[i]
-		o.reporters.Add(1)
-		go func() {
-			defer o.reporters.Done()
-			ticker := time.NewTicker(interval)
-			defer ticker.Stop()
-			for {
-				select {
-				case <-o.stopCh:
-					return
-				case <-ticker.C:
-					proxySelfMeasure(p, v)
-				}
-			}
-		}()
+		v := o.Views[i]
+		o.every(interval, func() { proxySelfMeasure(p, v) })
 	}
 }
 
-func (o *Overlay) pushReports(n *Node, intervalSec float64) {
-	// The home proxy follows the default route, so reports land on the
-	// shard that survives a re-home.
-	peer := n.Daemon.DefaultRoute()
-	if peer == "" {
-		peer = "proxy"
-	}
-	pushReports(&Reporting{Daemon: n.Daemon, Wren: n.Wren, Peer: peer}, intervalSec)
+// every runs fn each interval on its own goroutine until Close.
+func (o *Overlay) every(interval time.Duration, fn func()) {
+	o.reporters.Add(1)
+	go func() {
+		defer o.reporters.Done()
+		ticker := time.NewTicker(interval)
+		defer ticker.Stop()
+		for {
+			select {
+			case <-o.stopCh:
+				return
+			case <-ticker.C:
+				fn()
+			}
+		}
+	}()
 }
 
 // Close stops reporting and shuts every daemon down.

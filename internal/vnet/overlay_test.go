@@ -1,12 +1,15 @@
 package vnet
 
 import (
+	"encoding/json"
+	"slices"
 	"testing"
 	"time"
 
 	"freemeasure/internal/ethernet"
 	"freemeasure/internal/vttif"
 	"freemeasure/internal/wren"
+	"freemeasure/internal/wren/coord"
 )
 
 func vmMAC(id int) ethernet.MAC { return ethernet.VMMAC(id) }
@@ -101,6 +104,37 @@ func TestGlobalViewWrenPush(t *testing.T) {
 	defer close(stop)
 	waitFor(t, "wren path measurement at proxy", func() bool {
 		p, ok := o.View.Path("h1", "proxy")
-		return ok && (p.BWFound || p.LatFound)
+		return ok && (p.Mbps > 0 || p.LatencyMs > 0)
 	})
+}
+
+// TestWrenReportWireFormat pins the "wren" control report: coord.Record
+// as JSON, the optional fields absent when zero, unknown fields ignored on
+// receipt, and the view keyed by the link the report arrived on rather
+// than by what the payload claims.
+func TestWrenReportWireFormat(t *testing.T) {
+	full := coord.Record{Path: coord.Path{From: "h1", To: "h2"}, At: 1700000000123456789,
+		Mbps: 42.5, LatencyMs: 1.25, Kind: "lower-bound", Quality: 0.75}
+	bare := coord.Record{Path: coord.Path{From: "h1", To: "h3"}, Mbps: 7}
+	raw, err := json.Marshal(controlMsg{Kind: "wren", Wren: []coord.Record{full, bare}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	const want = `{"kind":"wren","wren":[` +
+		`{"path":{"From":"h1","To":"h2"},"at":1700000000123456789,"mbps":42.5,"latencyMs":1.25,"kind":"lower-bound","quality":0.75},` +
+		`{"path":{"From":"h1","To":"h3"},"mbps":7}]}`
+	if string(raw) != want {
+		t.Fatalf("report =\n%s\nwant\n%s", raw, want)
+	}
+
+	view := NewGlobalView(vttif.Config{})
+	view.HandleControl("h1", raw)
+	view.HandleControl("h9", []byte(`{"kind":"wren","hops":3,"wren":[`+
+		`{"path":{"From":"h1","To":"h4"},"mbps":9,"jitterMs":2},`+ // unknown fields; From is not the sender
+		`{"remote":"h5","mbps":9,"bwFound":true}]}`)) // a pre-Record entry: no path, dropped
+	got := view.Paths()
+	wantPaths := []coord.Record{full, bare, {Path: coord.Path{From: "h9", To: "h4"}, Mbps: 9}}
+	if !slices.Equal(got, wantPaths) {
+		t.Fatalf("view after reports = %+v\nwant %+v", got, wantPaths)
+	}
 }

@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"freemeasure/internal/wren"
+	"freemeasure/internal/wren/coord"
 )
 
 // Reporter periodically pushes one daemon's VTTIF local matrix and Wren
@@ -101,18 +102,13 @@ func pushReports(rep *Reporting, intervalSec float64) {
 	if rep.Wren == nil {
 		return
 	}
-	remotes := rep.Wren.Remotes()
-	if len(remotes) == 0 {
+	scan := rep.Wren.Scan()
+	if len(scan) == 0 {
 		return
 	}
-	msg := controlMsg{Kind: "wren"}
-	for _, r := range remotes {
-		est, bwOK := rep.Wren.AvailableBandwidth(r)
-		lat, latOK := rep.Wren.Latency(r)
-		msg.Wren = append(msg.Wren, wrenEntry{
-			Remote: r, Mbps: est.Mbps, Kind: est.Kind.String(), Quality: est.Quality,
-			BWFound: bwOK, LatencyMs: lat, LatFound: latOK,
-		})
+	msg := controlMsg{Kind: "wren", Wren: make([]coord.Record, len(scan))}
+	for i, po := range scan {
+		msg.Wren[i] = po.Record()
 	}
 	if raw, err := json.Marshal(msg); err == nil {
 		rep.Daemon.SendControl(peer, raw)

@@ -15,18 +15,6 @@ import (
 // any "1.x" minor revision; a major bump breaks compatibility on purpose.
 const mapFormatVersion = "1.0.0"
 
-// MapEntry is one path's line in a published bandwidth map.
-type MapEntry struct {
-	Path      Path
-	Mbps      float64
-	LatencyMs float64
-	Kind      string
-	Quality   float64
-	// At is the observation timestamp (unix nanoseconds) backing the
-	// entry, so consumers can judge staleness themselves.
-	At int64
-}
-
 // BandwidthMap is the versioned capacity artifact the coordination tier
 // publishes — the v3bw idea: a self-describing text file any consumer can
 // fetch, diff, and cache. Entries are sorted by (From, To) and unique per
@@ -40,14 +28,16 @@ type BandwidthMap struct {
 	Generation uint64
 	// StoreVersion is the store snapshot version the map was built from.
 	StoreVersion uint64
-	Entries      []MapEntry
+	// Entries holds one record per path — the freshest the store had — so
+	// consumers can judge staleness from Record.At themselves.
+	Entries []Record
 }
 
 // Lookup finds the entry for (from, to) by binary search over the sorted
 // entries.
-func (m *BandwidthMap) Lookup(from, to string) (MapEntry, bool) {
+func (m *BandwidthMap) Lookup(from, to string) (Record, bool) {
 	if m == nil {
-		return MapEntry{}, false
+		return Record{}, false
 	}
 	want := Path{From: from, To: to}
 	i := sort.Search(len(m.Entries), func(i int) bool {
@@ -56,7 +46,7 @@ func (m *BandwidthMap) Lookup(from, to string) (MapEntry, bool) {
 	if i < len(m.Entries) && m.Entries[i].Path == want {
 		return m.Entries[i], true
 	}
-	return MapEntry{}, false
+	return Record{}, false
 }
 
 // fnum renders a float losslessly for the wire format.
@@ -74,7 +64,7 @@ func fnum(v float64) string { return strconv.FormatFloat(v, 'g', -1, 64) }
 //
 // Entries are emitted in sorted path order regardless of in-memory order.
 func (m *BandwidthMap) Serialize(w io.Writer) error {
-	entries := append([]MapEntry(nil), m.Entries...)
+	entries := append([]Record(nil), m.Entries...)
 	sort.Slice(entries, func(i, j int) bool { return entries[i].Path.Less(entries[j].Path) })
 	bw := bufio.NewWriter(w)
 	fmt.Fprintf(bw, "%d\n", m.Epoch)
@@ -203,8 +193,8 @@ func ParseBandwidthMap(data []byte) (*BandwidthMap, error) {
 }
 
 // parseEntry decodes one "path=... k=v ..." line.
-func parseEntry(line string) (MapEntry, error) {
-	var e MapEntry
+func parseEntry(line string) (Record, error) {
+	var e Record
 	sawPath, sawBW := false, false
 	for _, field := range strings.Fields(line) {
 		key, val, ok := strings.Cut(field, "=")
@@ -269,10 +259,7 @@ func BuildMap(s Store, now time.Time) (*BandwidthMap, error) {
 		if i+1 < len(snap.Records) && snap.Records[i+1].Path == rec.Path {
 			continue
 		}
-		m.Entries = append(m.Entries, MapEntry{
-			Path: rec.Path, Mbps: rec.Mbps, LatencyMs: rec.LatencyMs,
-			Kind: rec.Kind, Quality: rec.Quality, At: rec.At,
-		})
+		m.Entries = append(m.Entries, rec)
 	}
 	return m, nil
 }

@@ -33,7 +33,7 @@ func TestBandwidthMapRoundTrip(t *testing.T) {
 					continue
 				}
 				used[p] = true
-				e := MapEntry{Path: p, Mbps: rng.Float64() * 1000}
+				e := Record{Path: p, Mbps: rng.Float64() * 1000}
 				if rng.Intn(2) == 0 {
 					e.LatencyMs = rng.Float64() * 50
 				}
@@ -54,7 +54,7 @@ func TestBandwidthMapRoundTrip(t *testing.T) {
 			}
 			// Serialize sorts; compare against the sorted original.
 			want := *m
-			want.Entries = append([]MapEntry(nil), m.Entries...)
+			want.Entries = append([]Record(nil), m.Entries...)
 			sortEntries(want.Entries)
 			if !reflect.DeepEqual(got, &want) {
 				t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, &want)
@@ -63,7 +63,7 @@ func TestBandwidthMapRoundTrip(t *testing.T) {
 	}
 }
 
-func sortEntries(es []MapEntry) {
+func sortEntries(es []Record) {
 	for i := 1; i < len(es); i++ {
 		for j := i; j > 0 && es[j].Path.Less(es[j-1].Path); j-- {
 			es[j], es[j-1] = es[j-1], es[j]
@@ -76,7 +76,7 @@ func sortEntries(es []MapEntry) {
 func TestParseBandwidthMapRejects(t *testing.T) {
 	good := (&BandwidthMap{
 		Epoch: 1700000000, Generation: 3, StoreVersion: 7,
-		Entries: []MapEntry{
+		Entries: []Record{
 			{Path: Path{From: "h1", To: "h2"}, Mbps: 40},
 			{Path: Path{From: "h2", To: "h1"}, Mbps: 35},
 		},
@@ -130,7 +130,7 @@ func TestLookup(t *testing.T) {
 	if _, ok := nilMap.Lookup("h1", "h2"); ok {
 		t.Fatal("nil map claimed a hit")
 	}
-	m := &BandwidthMap{Entries: []MapEntry{
+	m := &BandwidthMap{Entries: []Record{
 		{Path: Path{From: "h1", To: "h2"}, Mbps: 40},
 		{Path: Path{From: "h1", To: "h3"}, Mbps: 50},
 		{Path: Path{From: "h2", To: "h1"}, Mbps: 35},
@@ -209,7 +209,7 @@ func TestPublisherGenerationMonotonic(t *testing.T) {
 func FuzzBandwidthMapParse(f *testing.F) {
 	f.Add([]byte((&BandwidthMap{
 		Epoch: 1700000000, Generation: 3, StoreVersion: 7,
-		Entries: []MapEntry{
+		Entries: []Record{
 			{Path: Path{From: "h1", To: "h2"}, Mbps: 40.5, LatencyMs: 1.25, Kind: "exact", Quality: 0.9, At: 123456789},
 			{Path: Path{From: "h2", To: "h1"}, Mbps: 35},
 		},

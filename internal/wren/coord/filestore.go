@@ -47,7 +47,9 @@ func OpenFileStore(path string) (*FileStore, error) {
 // replay loads every intact record from the log. A malformed or truncated
 // line ends the replay (everything after a torn write is untrusted); the
 // file is truncated back to the last good line so the next append starts
-// on a record boundary.
+// on a record boundary. A line too long to scan is not a torn write — valid
+// records may follow it — so it fails the open and leaves the file as it
+// was rather than truncating them away.
 func (s *FileStore) replay() error {
 	sc := bufio.NewScanner(s.f)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
@@ -63,8 +65,8 @@ func (s *FileStore) replay() error {
 		}
 		good += int64(len(line)) + 1
 	}
-	if err := sc.Err(); err != nil && err != bufio.ErrTooLong {
-		return fmt.Errorf("coord: replay store log: %w", err)
+	if err := sc.Err(); err != nil {
+		return fmt.Errorf("coord: replay store log at byte %d: %w", good, err)
 	}
 	if err := s.f.Truncate(good); err != nil {
 		return fmt.Errorf("coord: truncate torn store log: %w", err)

@@ -62,7 +62,7 @@ func (p *Publisher) Publish(m *BandwidthMap) *BandwidthMap {
 	p.gen++
 	stamped := *m
 	stamped.Generation = p.gen
-	stamped.Entries = append([]MapEntry(nil), m.Entries...)
+	stamped.Entries = append([]Record(nil), m.Entries...)
 	p.cur.Store(&stamped)
 	p.met.Publishes.Inc()
 	p.met.Generation.Set(float64(stamped.Generation))

@@ -27,12 +27,15 @@ func (p Path) Less(q Path) bool {
 // IsZero reports the unset path (used as the "all paths" query).
 func (p Path) IsZero() bool { return p.From == "" && p.To == "" }
 
-// Record is one stored observation: what was measured for a path at one
-// point in time. Records are keyed by (Path, At): a Put with an existing
-// key replaces the earlier record rather than duplicating it.
+// Record is one path measurement: what was measured for a path at one
+// point in time. It is the only shape a measurement has once it leaves
+// wren.Monitor — control report, store, published map and sense chain all
+// carry it unchanged. Zero Mbps or LatencyMs means "not measured", zero At
+// "no timestamp". Stored records are keyed by (Path, At): a Put with an
+// existing key replaces the earlier record rather than duplicating it.
 type Record struct {
 	Path      Path    `json:"path"`
-	At        int64   `json:"at"` // observation time, unix nanoseconds
+	At        int64   `json:"at,omitempty"` // observation time, unix nanoseconds
 	Mbps      float64 `json:"mbps"`
 	LatencyMs float64 `json:"latencyMs,omitempty"`
 	Kind      string  `json:"kind,omitempty"`

@@ -1,8 +1,13 @@
 package coord
 
 import (
+	"bufio"
+	"bytes"
+	"errors"
+	"fmt"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 )
 
@@ -149,5 +154,46 @@ func TestFileStoreTornTail(t *testing.T) {
 	}
 	if len(snap.Records) != 3 {
 		t.Fatalf("append after torn-tail recovery lost: %d records, want 3", len(snap.Records))
+	}
+}
+
+// TestFileStoreOverlongLineFailsOpen: a line the scanner cannot hold is
+// not a torn tail — valid records follow it. Replay must refuse the log,
+// naming where it stopped, and must not truncate those records away.
+func TestFileStoreOverlongLineFailsOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "coord.log")
+	s, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := s.Put(Record{Path: Path{From: "h1", To: "h2"}, At: 10, Mbps: 40}); err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+	head, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tail := `{"path":{"From":"h2","To":"h3"},"at":20,"mbps":50}` + "\n"
+	log := append(append([]byte(nil), head...), bytes.Repeat([]byte("x"), 2<<20)...)
+	log = append(log, '\n')
+	log = append(log, tail...)
+	if err := os.WriteFile(path, log, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	_, err = OpenFileStore(path)
+	if !errors.Is(err, bufio.ErrTooLong) {
+		t.Fatalf("open over-long log: err = %v, want bufio.ErrTooLong", err)
+	}
+	if want := fmt.Sprintf("at byte %d", len(head)); !strings.Contains(err.Error(), want) {
+		t.Fatalf("error %q does not name the offset (%s)", err, want)
+	}
+	after, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(after, log) {
+		t.Fatalf("failed open changed the log: %d bytes, want %d", len(after), len(log))
 	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"freemeasure/internal/pcap"
+	"freemeasure/internal/wren/coord"
 )
 
 // Config assembles the online monitor's tunables.
@@ -405,6 +406,56 @@ func (m *Monitor) Remotes() []string {
 		sh.mu.Unlock()
 	}
 	sort.Strings(out)
+	return out
+}
+
+// PathObservation is one row of a Scan: the monitor's current
+// available-bandwidth estimate toward a remote, the latency estimate when
+// one exists, and the freshest underlying observation timestamp.
+type PathObservation struct {
+	Origin    string
+	Remote    string
+	Estimate  Estimate // Count 0 when no observation is windowed
+	LatencyMs float64
+	LatencyOK bool
+	At        int64 // newest SIC observation backing the estimate (ns), 0 if unknown
+}
+
+// Record is the one conversion from a monitor row to the path record every
+// later stage carries: control report, store, published map, sense chain.
+func (po PathObservation) Record() coord.Record {
+	rec := coord.Record{
+		Path: coord.Path{From: po.Origin, To: po.Remote}, At: po.At, Mbps: po.Estimate.Mbps,
+		Kind: po.Estimate.Kind.String(), Quality: po.Estimate.Quality,
+	}
+	if po.LatencyOK {
+		rec.LatencyMs = po.LatencyMs
+	}
+	return rec
+}
+
+// Scan returns one row per remote with measurement state, sorted by
+// remote: what AvailableBandwidth and Latency would answer, read together
+// under the path's shard lock. At is the time of the path's last
+// observation, so a path that has gone silent keeps reporting the moment
+// it was last measured rather than the moment it was last asked about.
+func (m *Monitor) Scan() []PathObservation {
+	var out []PathObservation
+	for s := range m.shards {
+		sh := &m.shards[s]
+		sh.mu.Lock()
+		for remote, ps := range sh.paths {
+			po := PathObservation{Origin: m.local, Remote: remote}
+			po.Estimate, _ = ps.bw.Estimate()
+			po.LatencyMs, po.LatencyOK = ps.lat.LatencyMs()
+			if n := len(ps.recent); n > 0 {
+				po.At = ps.recent[n-1].At
+			}
+			out = append(out, po)
+		}
+		sh.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool { return out[i].Remote < out[j].Remote })
 	return out
 }
 

@@ -150,6 +150,41 @@ func TestMonitorObservationsSince(t *testing.T) {
 	}
 }
 
+// TestMonitorScanKeepsLastObservationTime: a path that stops receiving
+// trains keeps reporting the time it was last measured, however often it
+// is scanned and however far the monitor's clock moves on — the age a
+// consumer derives from it must grow, not reset.
+func TestMonitorScanKeepsLastObservationTime(t *testing.T) {
+	m := NewMonitor("a", Config{})
+	outs := mkOuts(0, 20, 100*us, 1500, 0)
+	m.FeedAll(outs)
+	m.FeedAll(mkAcks(outs, func(i int) int64 { return 1000 * us }))
+	heartbeat := func(at int64) {
+		m.Feed(pcap.Record{At: at, Dir: pcap.In, IsAck: true,
+			Flow: pcap.FlowKey{Local: "a", Remote: "c"}})
+		m.Poll()
+	}
+	heartbeat(outs[19].At + 100_000_000)
+	first := m.Scan()
+	if len(first) != 1 || first[0].Remote != "b" || first[0].At <= 0 || first[0].Estimate.Count != 1 {
+		t.Fatalf("Scan = %+v, want one measured row for b", first)
+	}
+	if first[0].At != m.Observations("b", 0)[0].At {
+		t.Fatalf("Scan At = %d, want the observation's %d", first[0].At, m.Observations("b", 0)[0].At)
+	}
+	// An hour of traffic elsewhere, none toward b.
+	for i := int64(1); i <= 6; i++ {
+		heartbeat(outs[19].At + i*600_000_000_000)
+		if again := m.Scan(); len(again) != 1 || again[0] != first[0] {
+			t.Fatalf("scan %d of a silent path = %+v, want the unchanged %+v", i, again, first[0])
+		}
+	}
+	if rec := first[0].Record(); rec.At != first[0].At || rec.Path.From != "a" || rec.Path.To != "b" ||
+		rec.Mbps != first[0].Estimate.Mbps || rec.LatencyMs != first[0].LatencyMs {
+		t.Fatalf("Record() = %+v, does not carry the row %+v", rec, first[0])
+	}
+}
+
 func TestMonitorStatsAndFilters(t *testing.T) {
 	m := NewMonitor("a", Config{})
 	flow := pcap.FlowKey{Local: "a", Remote: "b"}

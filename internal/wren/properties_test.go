@@ -1,6 +1,7 @@
 package wren
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 	"testing/quick"
@@ -150,5 +151,55 @@ func TestMaxDupAckRun(t *testing.T) {
 	}
 	if got := MaxDupAckRun(nil, 0, 10); got != 1 {
 		t.Fatalf("empty = %d", got)
+	}
+}
+
+// TestMonitorScanAgreesWithQueriesProperty: for arbitrary traces toward
+// an arbitrary set of remotes, Scan is the per-remote queries read
+// together — one row per Remotes() entry in the same sorted order, each
+// carrying exactly what AvailableBandwidth and Latency answer and the
+// time of the newest logged observation.
+func TestMonitorScanAgreesWithQueriesProperty(t *testing.T) {
+	checked := 0
+	f := func(seed int64) bool {
+		rng := rand.New(rand.NewSource(seed))
+		m := NewMonitor("a", Config{})
+		newest := int64(0)
+		for _, i := range rng.Perm(12)[:1+rng.Intn(8)] {
+			remote := fmt.Sprintf("r%02d", i)
+			outs := randomTrace(rng)
+			acks := mkAcks(outs, func(int) int64 { return 500_000 + int64(rng.Intn(5_000)) })
+			m.FeedAll(reflow(outs, "a", remote))
+			m.FeedAll(reflow(acks, "a", remote))
+			newest = max(newest, acks[len(acks)-1].At)
+		}
+		m.Feed(pcap.Record{At: newest + 10_000_000_000, Dir: pcap.In, IsAck: true,
+			Flow: pcap.FlowKey{Local: "a", Remote: "zz"}})
+		m.Poll()
+
+		rows, remotes := m.Scan(), m.Remotes()
+		if len(rows) != len(remotes) {
+			t.Logf("seed %d: %d rows for %d remotes", seed, len(rows), len(remotes))
+			return false
+		}
+		for i, po := range rows {
+			est, bwOK := m.AvailableBandwidth(remotes[i])
+			lat, latOK := m.Latency(remotes[i])
+			obs := m.Observations(remotes[i], 0)
+			if po.Origin != "a" || po.Remote != remotes[i] || po.Estimate != est || (po.Estimate.Count > 0) != bwOK ||
+				po.LatencyMs != lat || po.LatencyOK != latOK || len(obs) == 0 || po.At != obs[len(obs)-1].At {
+				t.Logf("seed %d: row %d = %+v, queries say %s %+v/%v %v/%v %d observations",
+					seed, i, po, remotes[i], est, bwOK, lat, latOK, len(obs))
+				return false
+			}
+			checked++
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 80}); err != nil {
+		t.Fatal(err)
+	}
+	if checked == 0 {
+		t.Fatal("no trace produced a measured path: the property checked nothing")
 	}
 }

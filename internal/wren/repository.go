@@ -203,38 +203,15 @@ func (r *Repository) PollAll() int {
 	return total
 }
 
-// PathObservation is one analyzed path in a Scan: the origin's current
-// available-bandwidth estimate toward a remote, the latency estimate when
-// one exists, and the freshest underlying observation timestamp.
-type PathObservation struct {
-	Origin    string
-	Remote    string
-	Estimate  Estimate
-	LatencyMs float64
-	LatencyOK bool
-	At        int64 // newest SIC observation backing the estimate (ns), 0 if unknown
-}
-
-// Scan returns every (origin, remote) path holding a current bandwidth
-// estimate, sorted by origin then remote. The order is part of the
-// contract: the coordination tier's map builder diffs successive scans and
-// feeds them into a store keyed by path, so results must be deterministic
-// — never the monitors map's iteration order.
+// Scan returns every origin's Monitor.Scan rows, sorted by origin then
+// remote. The order is part of the contract: the coordination tier's map
+// builder diffs successive scans and feeds them into a store keyed by
+// path, so results must be deterministic — never the monitors map's
+// iteration order.
 func (r *Repository) Scan() []PathObservation {
 	var out []PathObservation
 	for _, m := range r.sortedMonitors() {
-		for _, remote := range m.Remotes() { // Remotes() is sorted
-			est, ok := m.AvailableBandwidth(remote)
-			if !ok {
-				continue
-			}
-			po := PathObservation{Origin: m.Local(), Remote: remote, Estimate: est}
-			po.LatencyMs, po.LatencyOK = m.Latency(remote)
-			if recent := m.Observations(remote, 0); len(recent) > 0 {
-				po.At = recent[len(recent)-1].At
-			}
-			out = append(out, po)
-		}
+		out = append(out, m.Scan()...)
 	}
 	return out
 }
