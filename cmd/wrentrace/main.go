@@ -2,8 +2,8 @@
 // workflow before the online analyzer, and the natural consumer of traces
 // archived by the repository.
 //
-//	wrentrace -local hostA trace.gob
-//	wrentrace -metrics-addr 127.0.0.1:8090 -local hostA big-trace.gob
+//	wrentrace -local hostA trace.wrec
+//	wrentrace -metrics-addr 127.0.0.1:8090 -local hostA big-trace.wrec
 package main
 
 import (

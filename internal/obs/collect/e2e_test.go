@@ -306,9 +306,12 @@ func TestMeshTraceEndToEnd(t *testing.T) {
 	}
 
 	// Federated metrics: per-member series, the mesh aggregate, and an
-	// exemplar tying the cycle-latency histogram to this very trace.
+	// exemplar tying the cycle-latency histogram to this very trace. h1's
+	// registry carries the vnet metric set without attaching it to the
+	// daemon: SetMetrics must precede Listen/Connect, and NewMesh has long
+	// since connected h1's links.
 	h1Reg := obs.NewRegistry()
-	h1.SetMetrics(vnet.NewMetrics(h1Reg))
+	vnet.NewMetrics(h1Reg)
 	fed := collect.NewFederator(
 		collect.RegistryMember("ctl", ctlReg),
 		collect.RegistryMember("h1", h1Reg),

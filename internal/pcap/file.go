@@ -2,8 +2,6 @@ package pcap
 
 import (
 	"bufio"
-	"encoding/gob"
-	"errors"
 	"io"
 	"os"
 )
@@ -11,34 +9,38 @@ import (
 // This file provides trace persistence: Wren's pre-online workflow
 // analyzed traces offline ("earlier work described offline analysis
 // techniques", paper section 1), and saved traces are also how the
-// repository mode archives what forwarders ship. The format is a gob
-// stream of Records.
+// repository mode archives what forwarders ship. A trace file is the
+// repository stream's encoding (codec.go): the preamble, then frames with
+// an empty origin and trace context.
 
 // WriteTrace streams records to w.
 func WriteTrace(w io.Writer, records []Record) error {
-	bw := bufio.NewWriter(w)
-	enc := gob.NewEncoder(bw)
-	for i := range records {
-		if err := enc.Encode(&records[i]); err != nil {
+	var enc Encoder
+	enc.Preamble()
+	for len(records) > 0 {
+		n, err := enc.Frame("", "", records)
+		if err != nil {
 			return err
 		}
+		records = records[n:]
 	}
-	return bw.Flush()
+	_, err := w.Write(enc.Bytes())
+	return err
 }
 
 // ReadTrace reads all records from r.
 func ReadTrace(r io.Reader) ([]Record, error) {
-	dec := gob.NewDecoder(bufio.NewReader(r))
+	dec := NewDecoder(bufio.NewReader(r))
 	var out []Record
 	for {
-		var rec Record
-		if err := dec.Decode(&rec); err != nil {
-			if errors.Is(err, io.EOF) {
-				return out, nil
-			}
+		f, err := dec.Next()
+		if err == io.EOF {
+			return out, nil
+		}
+		if err != nil {
 			return out, err
 		}
-		out = append(out, rec)
+		out = append(out, f.Records...)
 	}
 }
 

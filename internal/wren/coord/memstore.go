@@ -25,6 +25,7 @@ type memShard struct {
 type MemStore struct {
 	shards  [memShards]memShard
 	version atomic.Uint64
+	stored  atomic.Int64 // records held, Scan's allocation hint
 	closed  atomic.Bool
 
 	wmu      sync.Mutex
@@ -91,6 +92,7 @@ func (s *MemStore) Put(rec Record) (uint64, error) {
 		recs = append(recs, Record{})
 		copy(recs[i+1:], recs[i:])
 		recs[i] = rec
+		s.stored.Add(1)
 	}
 	sh.paths[rec.Path] = recs
 	sh.mu.Unlock()
@@ -118,29 +120,61 @@ func (s *MemStore) notify(rec Record) {
 // Scan implements Store. Records come back sorted by (From, To, At); the
 // snapshot version is read after collection, so it covers every record
 // returned.
+//
+// Every path's list is already sorted by At, so only whole runs are put in
+// order, never records: each selected run is copied out under its shard
+// lock (a slice into shard storage must not outlive the Unlock, since Put
+// shifts those arrays in place), and the runs are then laid out in path
+// order.
 func (s *MemStore) Scan(q Query) (Snapshot, error) {
 	if s.closed.Load() {
 		return Snapshot{}, ErrClosed
 	}
-	var out []Record
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for p, recs := range sh.paths {
-			if !q.Path.IsZero() && p != q.Path {
-				continue
-			}
-			j := sort.Search(len(recs), func(j int) bool { return recs[j].At >= q.SinceNs })
-			out = append(out, recs[j:]...)
-		}
-		sh.mu.Unlock()
+	type run struct {
+		path   Path
+		off, n int
 	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Path != out[j].Path {
-			return out[i].Path.Less(out[j].Path)
+	var (
+		buf  []Record
+		runs []run
+	)
+	collect := func(p Path, recs []Record) {
+		j := sort.Search(len(recs), func(j int) bool { return recs[j].At >= q.SinceNs })
+		if j < len(recs) {
+			runs = append(runs, run{p, len(buf), len(recs) - j})
+			buf = append(buf, recs[j:]...)
 		}
-		return out[i].At < out[j].At
-	})
+	}
+	if !q.Path.IsZero() {
+		sh := s.shardFor(q.Path)
+		sh.mu.Lock()
+		collect(q.Path, sh.paths[q.Path])
+		sh.mu.Unlock()
+	} else {
+		if n := s.stored.Load(); n > 0 {
+			buf = make([]Record, 0, n)
+		}
+		for i := range s.shards {
+			sh := &s.shards[i]
+			sh.mu.Lock()
+			for p, recs := range sh.paths {
+				collect(p, recs)
+			}
+			sh.mu.Unlock()
+		}
+	}
+	sort.Slice(runs, func(i, j int) bool { return runs[i].path.Less(runs[j].path) })
+	var out []Record
+	switch len(runs) {
+	case 0:
+	case 1:
+		out = buf
+	default:
+		out = make([]Record, 0, len(buf))
+		for _, r := range runs {
+			out = append(out, buf[r.off:r.off+r.n]...)
+		}
+	}
 	s.met.Scans.Inc()
 	return Snapshot{Version: s.version.Load(), Records: out}, nil
 }

@@ -5,8 +5,11 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"sort"
 	"strings"
 	"testing"
 )
@@ -195,5 +198,70 @@ func TestFileStoreOverlongLineFailsOpen(t *testing.T) {
 	}
 	if !bytes.Equal(after, log) {
 		t.Fatalf("failed open changed the log: %d bytes, want %d", len(after), len(log))
+	}
+}
+
+// fullSortScan is the Scan MemStore had before it ordered runs instead of
+// records: gather every matching record, then comparison-sort them all by
+// (Path, At).
+func fullSortScan(s *MemStore, q Query) []Record {
+	var out []Record
+	for i := range s.shards {
+		sh := &s.shards[i]
+		sh.mu.Lock()
+		for p, recs := range sh.paths {
+			if !q.Path.IsZero() && p != q.Path {
+				continue
+			}
+			j := sort.Search(len(recs), func(j int) bool { return recs[j].At >= q.SinceNs })
+			out = append(out, recs[j:]...)
+		}
+		sh.mu.Unlock()
+	}
+	sort.Slice(out, func(i, j int) bool {
+		if out[i].Path != out[j].Path {
+			return out[i].Path.Less(out[j].Path)
+		}
+		return out[i].At < out[j].At
+	})
+	return out
+}
+
+// TestMemStoreScanMatchesFullSort is the differential test for Scan's run
+// ordering: over seeded Put streams with repeated (Path, At) keys and
+// timestamps arriving out of order, every query — all paths, one path
+// (present or not), a SinceNs cut, both — returns exactly what sorting
+// every record does.
+func TestMemStoreScanMatchesFullSort(t *testing.T) {
+	for seed := int64(1); seed <= 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		s := NewMemStore()
+		hosts := []string{"h1", "h2", "h10", "a", "b", "h1 ", "z"}
+		var paths []Path
+		for i := 0; i < 2+rng.Intn(24); i++ {
+			paths = append(paths, Path{From: hosts[rng.Intn(len(hosts))], To: hosts[rng.Intn(len(hosts))]})
+		}
+		for i := 0; i < rng.Intn(600); i++ {
+			rec := Record{Path: paths[rng.Intn(len(paths))], At: 1 + rng.Int63n(200), Mbps: rng.Float64() * 100}
+			if _, err := s.Put(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+		queries := []Query{{}, {SinceNs: 1}, {SinceNs: 100}, {SinceNs: 201},
+			{Path: Path{From: "nobody", To: "h1"}}}
+		for _, p := range paths {
+			queries = append(queries, Query{Path: p}, Query{Path: p, SinceNs: 1 + rng.Int63n(200)})
+		}
+		for _, q := range queries {
+			snap, err := s.Scan(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := fullSortScan(s, q); !reflect.DeepEqual(snap.Records, want) {
+				t.Fatalf("seed %d query %+v: Scan returned %d records, full sort %d:\n got %+v\nwant %+v",
+					seed, q, len(snap.Records), len(want), snap.Records, want)
+			}
+		}
+		s.Close()
 	}
 }

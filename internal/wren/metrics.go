@@ -77,7 +77,7 @@ func NewForwarderMetrics(reg *obs.Registry) ForwarderMetrics {
 		Reconnects: reg.Counter("wren_forwarder_reconnects_total",
 			"Successful redials to the trace repository after a broken connection."),
 		LostRecords: reg.Counter("wren_forwarder_lost_records_total",
-			"Buffered records discarded because the repository stayed unreachable."),
+			"Buffered records discarded because the repository stayed unreachable (or too large for any frame)."),
 	}
 }
 

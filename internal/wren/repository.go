@@ -1,7 +1,7 @@
 package wren
 
 import (
-	"encoding/gob"
+	"bufio"
 	"fmt"
 	"log/slog"
 	"net"
@@ -21,15 +21,10 @@ import (
 // ships them in batches; the Repository runs one Monitor per origin host
 // and answers the same queries the local mode does.
 
-// traceBatch is the wire unit between Forwarder and Repository. Trace is
-// the forwarder's encoded distributed-trace context (empty when the
-// forwarder is untraced); gob tolerates the field being absent, so old
-// and new ends interoperate.
-type traceBatch struct {
-	Origin  string
-	Records []pcap.Record
-	Trace   string
-}
+// The wire between Forwarder and Repository is pcap's record stream: a
+// preamble, then one frame per shipped batch carrying the origin name, the
+// forwarder's encoded distributed-trace context (empty when untraced) and
+// the records.
 
 // Repository collects remote traces and analyzes them centrally.
 type Repository struct {
@@ -103,11 +98,18 @@ func (r *Repository) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
+// serve ingests one forwarder connection until it closes or sends
+// something that is not a whole, well-formed frame (a gob-era peer fails at
+// the preamble). Only whole frames are ingested.
 func (r *Repository) serve(conn net.Conn) {
-	dec := gob.NewDecoder(conn)
+	// The decoder's body buffer and record slice are reused for every frame
+	// on this connection. That is safe only because Monitor.FeedAll copies
+	// each record into its shards by value and keeps no reference to the
+	// batch; endpoint strings are interned per connection and immutable.
+	dec := pcap.NewDecoder(bufio.NewReaderSize(conn, 64<<10))
 	for {
-		var batch traceBatch
-		if err := dec.Decode(&batch); err != nil {
+		batch, err := dec.Next()
+		if err != nil {
 			return
 		}
 		if batch.Origin == "" {
@@ -224,8 +226,8 @@ func (r *Repository) Received() (batches, records uint64) {
 }
 
 // Close stops the listener, severs open forwarder connections, and waits
-// for the handlers. Closing the connections matters: a handler blocks in
-// Decode until its peer sends or hangs up, so without it an idle (or
+// for the handlers. Closing the connections matters: a handler blocks
+// reading until its peer sends or hangs up, so without it an idle (or
 // wedged) forwarder would hold Close hostage indefinitely.
 func (r *Repository) Close() {
 	r.mu.Lock()
@@ -255,7 +257,8 @@ type Forwarder struct {
 
 	mu        sync.Mutex
 	conn      net.Conn
-	enc       *gob.Encoder
+	greeted   bool         // conn has been sent the stream preamble
+	enc       pcap.Encoder // frame buffer, kept across flushes
 	batch     []pcap.Record
 	sent      uint64
 	filtered  uint64 // not Wren-relevant, never shipped
@@ -310,7 +313,7 @@ func DialRepository(addr, origin string, batchSize int) (*Forwarder, error) {
 	if err != nil {
 		return nil, err
 	}
-	f.conn, f.enc = conn, gob.NewEncoder(conn)
+	f.conn = conn
 	return f, nil
 }
 
@@ -332,10 +335,10 @@ func (f *Forwarder) SetFlight(fl *obs.FlightRecorder) {
 }
 
 // SetTrace sets the distributed-trace context stamped on subsequent
-// flushes: each shipped batch carries it (see traceBatch.Trace), so the
-// repository's ingest events correlate with the controller cycle whose
-// reporting interval produced the batch. The zero context (the default)
-// turns tracing off again.
+// flushes: each shipped frame carries it, so the repository's ingest
+// events correlate with the controller cycle whose reporting interval
+// produced the batch. The zero context (the default) turns tracing off
+// again.
 func (f *Forwarder) SetTrace(ctx obs.TraceContext) {
 	f.mu.Lock()
 	f.trace = ctx
@@ -436,20 +439,52 @@ func (f *Forwarder) flushLocked() {
 			wire = f.trace.Encode() // no recorder attached; propagate as-is
 		}
 	}
-	if err := f.enc.Encode(traceBatch{Origin: f.origin, Records: f.batch, Trace: wire}); err != nil {
-		if span != nil {
+	err := f.shipLocked(wire)
+	if span != nil {
+		if err != nil {
 			span.SetAttr("error", err.Error())
-			span.End()
 		}
+		span.End()
+	}
+	if err != nil {
 		f.failLocked(err)
 		return
 	}
-	if span != nil {
-		span.End()
-	}
 	f.lastErr = nil
-	f.sent += uint64(len(f.batch))
-	f.batch = f.batch[:0]
+}
+
+// shipLocked writes the batch as frames, one conn.Write each: a single
+// frame unless the batch outgrows the frame bound. Records leave the batch
+// as their frame's write succeeds, so a write that fails part-way loses
+// nothing: the repository drops the cut frame with the connection, and the
+// next flush resends it whole on a new one.
+func (f *Forwarder) shipLocked(wire string) error {
+	var err error
+	shipped := 0
+	for shipped < len(f.batch) && err == nil {
+		f.enc.Reset()
+		if !f.greeted {
+			f.enc.Preamble()
+		}
+		n, ferr := f.enc.Frame(f.origin, wire, f.batch[shipped:])
+		if ferr != nil {
+			// A record too large for any frame can never ship: drop it
+			// rather than wedge the stream behind it.
+			f.met.LostRecords.Inc()
+			if f.log != nil {
+				f.log.Warn("record dropped", "err", ferr)
+			}
+			f.batch = append(f.batch[:shipped], f.batch[shipped+1:]...)
+			continue
+		}
+		if _, err = f.conn.Write(f.enc.Bytes()); err == nil {
+			f.greeted = true
+			shipped += n
+		}
+	}
+	f.sent += uint64(shipped)
+	f.batch = append(f.batch[:0], f.batch[shipped:]...)
+	return err
 }
 
 // failLocked drops the dead connection, arms the next retry, and trims
@@ -458,7 +493,7 @@ func (f *Forwarder) failLocked(err error) {
 	f.lastErr = err
 	if f.conn != nil {
 		f.conn.Close()
-		f.conn, f.enc = nil, nil
+		f.conn, f.greeted = nil, false
 	}
 	if f.backoff == 0 {
 		f.backoff = f.retryBase
@@ -497,7 +532,7 @@ func (f *Forwarder) reconnectLocked() bool {
 		f.failLocked(err)
 		return false
 	}
-	f.conn, f.enc = conn, gob.NewEncoder(conn)
+	f.conn = conn
 	f.backoff = 0
 	f.lastErr = nil
 	f.met.Reconnects.Inc()
@@ -539,7 +574,7 @@ func (f *Forwarder) Close() error {
 	f.closed = true
 	err := f.lastErr
 	conn := f.conn
-	f.conn, f.enc = nil, nil
+	f.conn, f.greeted = nil, false
 	f.mu.Unlock()
 	if conn != nil {
 		if cerr := conn.Close(); err == nil {

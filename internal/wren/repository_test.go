@@ -1,6 +1,12 @@
 package wren
 
 import (
+	"bytes"
+	"errors"
+	"net"
+	"reflect"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -289,4 +295,180 @@ func TestRepositoryScanDeterministic(t *testing.T) {
 			}
 		}
 	}
+}
+
+// cutConn passes the first left bytes written through and then fails, the
+// way a connection that dies in the middle of a write does.
+type cutConn struct {
+	net.Conn
+	left int
+}
+
+func (c *cutConn) Write(p []byte) (int, error) {
+	if len(p) <= c.left {
+		c.left -= len(p)
+		return c.Conn.Write(p)
+	}
+	n, _ := c.Conn.Write(p[:c.left])
+	c.left = 0
+	return n, errors.New("connection cut mid-frame")
+}
+
+// TestForwarderWriteFailsMidFrame: a flush whose write dies part-way
+// through a frame drops the connection; the repository discards the cut
+// frame with it, and the next flush redials and delivers the batch whole.
+func TestForwarderWriteFailsMidFrame(t *testing.T) {
+	repo := NewRepository(Config{})
+	addr, err := repo.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := DialRepository(addr, "origin-1", 1000)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fw.Close(); repo.Close() })
+	fw.SetRetry(time.Millisecond, 10*time.Millisecond)
+	received := func(batches, records uint64) func() bool {
+		return func() bool {
+			b, r := repo.Received()
+			return b == batches && r == records
+		}
+	}
+
+	fw.FeedAll(mkOuts(0, 10, 100*us, 1500, 0))
+	if err := fw.Flush(); err != nil {
+		t.Fatal(err)
+	}
+	waitRepo(t, "first batch", received(1, 10))
+
+	fw.mu.Lock()
+	fw.conn = &cutConn{Conn: fw.conn, left: 7}
+	fw.mu.Unlock()
+	fw.FeedAll(mkOuts(1_000*us, 10, 100*us, 1500, 14600))
+	if err := fw.Flush(); err == nil {
+		t.Fatal("flush over a cut connection reported success")
+	}
+	if fw.Connected() {
+		t.Fatal("forwarder kept the connection its write failed on")
+	}
+	waitRepo(t, "repository to drop the cut connection", func() bool {
+		repo.mu.Lock()
+		defer repo.mu.Unlock()
+		return len(repo.conns) == 0
+	})
+	if !received(1, 10)() {
+		b, r := repo.Received()
+		t.Fatalf("repository ingested part of a cut frame: %d batches, %d records", b, r)
+	}
+
+	waitRepo(t, "redial", func() bool { return fw.Flush() == nil })
+	waitRepo(t, "the batch resent whole", received(2, 20))
+	if sent, _ := fw.Stats(); sent != 20 {
+		t.Fatalf("sent = %d, want 20", sent)
+	}
+}
+
+// TestRepositoryReusesDecodeBuffers: the repository decodes every frame on
+// a connection into the same buffers. Two consecutive batches must leave
+// the monitor exactly where feeding it deep copies of them does.
+func TestRepositoryReusesDecodeBuffers(t *testing.T) {
+	repo := NewRepository(Config{})
+	addr, err := repo.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	fw, err := DialRepository(addr, "origin-1", 1000) // one frame per batch
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { fw.Close(); repo.Close() })
+	train := func(t0 int64, gap, rtt int64) []pcap.Record {
+		outs := mkOuts(t0, 20, gap, 1500, t0)
+		recs := append(outs, mkAcks(outs, func(i int) int64 { return rtt + int64(i)*gap/2 })...)
+		return append(reflow(recs, "a", "b"), reflow(recs, "a", "c")...)
+	}
+	batches := [][]pcap.Record{
+		train(0, 100*us, 1000*us),
+		append(train(500_000*us, 80*us, 700*us),
+			pcap.Record{At: 900_000 * us, Dir: pcap.In, IsAck: true, Flow: pcap.FlowKey{Local: "a", Remote: "b"}},
+			pcap.Record{At: 900_000 * us, Dir: pcap.In, IsAck: true, Flow: pcap.FlowKey{Local: "a", Remote: "c"}}),
+	}
+	local := NewMonitor("origin-1", Config{})
+	total := 0
+	for _, b := range batches {
+		fw.FeedAll(b)
+		if err := fw.Flush(); err != nil {
+			t.Fatal(err)
+		}
+		cp := make([]pcap.Record, len(b))
+		for i, r := range b {
+			r.Flow = pcap.FlowKey{Local: strings.Clone(r.Flow.Local), Remote: strings.Clone(r.Flow.Remote)}
+			cp[i] = r
+		}
+		local.FeedAll(cp)
+		total += len(b)
+	}
+	waitRepo(t, "both batches", func() bool {
+		b, r := repo.Received()
+		return b == 2 && r == uint64(total)
+	})
+	if got, want := repo.PollAll(), local.Poll(); got != want || got == 0 {
+		t.Fatalf("observations: repository %d, deep-copy monitor %d", got, want)
+	}
+	got, want := repo.Scan(), local.Scan()
+	if !reflect.DeepEqual(got, want) {
+		t.Fatalf("repository scan\n%+v\ndiffers from deep-copy monitor scan\n%+v", got, want)
+	}
+}
+
+// FuzzRepositoryStream writes arbitrary bytes, after a valid preamble,
+// into a repository connection: it must never panic, and must ingest
+// exactly the frames a decoder accepts before the first bad one (frames
+// without an origin are skipped).
+func FuzzRepositoryStream(f *testing.F) {
+	var enc pcap.Encoder
+	enc.Frame("origin-1", "", mkOuts(0, 4, 100*us, 1500, 0))
+	enc.Frame("", "", mkOuts(0, 1, 100*us, 1500, 0))
+	f.Add(enc.Bytes())
+	f.Add(enc.Bytes()[:len(enc.Bytes())-3])
+	f.Add([]byte{})
+	f.Add([]byte{0, 0, 0, 1, 0})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var pre pcap.Encoder
+		pre.Preamble()
+		stream := append(pre.Bytes(), data...)
+		var wantBatches, wantRecords uint64
+		dec := pcap.NewDecoder(bytes.NewReader(stream))
+		for {
+			fr, err := dec.Next()
+			if err != nil {
+				break
+			}
+			if fr.Origin != "" {
+				wantBatches++
+				wantRecords += uint64(len(fr.Records))
+			}
+		}
+
+		repo := NewRepository(Config{})
+		client, server := net.Pipe()
+		var wg sync.WaitGroup
+		wg.Add(2)
+		go func() {
+			defer wg.Done()
+			repo.serve(server)
+			server.Close() // unblocks a writer the repository stopped reading
+		}()
+		go func() {
+			defer wg.Done()
+			client.Write(stream)
+			client.Close()
+		}()
+		wg.Wait()
+		if b, r := repo.Received(); b != wantBatches || r != wantRecords {
+			t.Fatalf("repository ingested %d batches / %d records, decoder accepts %d / %d",
+				b, r, wantBatches, wantRecords)
+		}
+	})
 }
