@@ -108,9 +108,10 @@ func main() {
 	logger.Info("accepting traces", "addr", addr)
 
 	// Analysis loop: poll the monitors, then push any new path
-	// observations into the coordination store. Repository.Scan is sorted
-	// and deterministic, so tracking the last stored timestamp per path is
-	// enough to avoid re-putting unchanged observations.
+	// observations into the coordination store. The monitors report the
+	// same observation poll after poll; lastAt skips those, because every
+	// Put bumps the store version and the map loop republishes on any
+	// version change.
 	go func() {
 		lastAt := make(map[coord.Path]int64)
 		for range time.Tick(*poll) {

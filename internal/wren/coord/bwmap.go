@@ -244,22 +244,14 @@ func parseEntry(line string) (Record, error) {
 	return e, nil
 }
 
-// BuildMap assembles a bandwidth map from a store snapshot: the freshest
-// record per path becomes that path's entry, stamped with the snapshot's
-// version. Generation is zero — the Publisher assigns it at publish time.
+// BuildMap assembles a bandwidth map from a store snapshot: the store's
+// record for each path becomes that path's entry, stamped with the
+// snapshot's version. Generation is zero — the Publisher assigns it at
+// publish time.
 func BuildMap(s Store, now time.Time) (*BandwidthMap, error) {
 	snap, err := s.Scan(Query{})
 	if err != nil {
 		return nil, err
 	}
-	m := &BandwidthMap{Epoch: now.Unix(), StoreVersion: snap.Version}
-	// Scan order is (From, To, At): within a path the last record is the
-	// freshest, and paths arrive already sorted.
-	for i, rec := range snap.Records {
-		if i+1 < len(snap.Records) && snap.Records[i+1].Path == rec.Path {
-			continue
-		}
-		m.Entries = append(m.Entries, rec)
-	}
-	return m, nil
+	return &BandwidthMap{Epoch: now.Unix(), StoreVersion: snap.Version, Entries: snap.Records}, nil
 }

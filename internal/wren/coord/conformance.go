@@ -13,20 +13,74 @@ import (
 //	StoreConformance(t, func(t *testing.T) Store { ... })
 //
 // newStore must return a fresh, empty store per invocation; cleanup goes
-// through t.Cleanup. The suite covers scan ordering, the replace-at-key
-// rule, versioned-snapshot monotonicity, watch delivery, close semantics,
-// and concurrent Put/Scan (meaningful under -race).
+// through t.Cleanup. The suite covers the freshest-wins rule (one sorted
+// record per path, ties replace, stale Puts still versioned and watched),
+// bounded record count, versioned-snapshot monotonicity, watch delivery,
+// close semantics, and concurrent Put/Scan (meaningful under -race).
 func StoreConformance(t *testing.T, newStore func(t *testing.T) Store) {
 	rec := func(from, to string, at int64, mbps float64) Record {
 		return Record{Path: Path{From: from, To: to}, At: at, Mbps: mbps}
 	}
 
+	t.Run("FreshestWins", func(t *testing.T) {
+		s := newStore(t)
+		ch, cancel, err := s.Watch(16)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer cancel()
+		// Out of order across paths and timestamps; the last Put ties h1>h2
+		// at 20 and must replace.
+		puts := []Record{
+			rec("h2", "h1", 30, 10), rec("h1", "h2", 20, 50), rec("h1", "h2", 10, 40),
+			rec("h1", "h3", 5, 70), rec("h2", "h1", 25, 15), rec("h1", "h2", 20, 55),
+		}
+		var last uint64
+		for _, r := range puts {
+			v, err := s.Put(r)
+			if err != nil {
+				t.Fatalf("Put(%v): %v", r, err)
+			}
+			if v <= last {
+				t.Fatalf("Put(%v) returned version %d, not above %d", r, v, last)
+			}
+			last = v
+		}
+		// Older-At Puts replace nothing but are still versioned and watched.
+		for i, w := range puts {
+			select {
+			case got := <-ch:
+				if got != w {
+					t.Fatalf("watch[%d] = %+v, want %+v", i, got, w)
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatalf("watch delivered %d of %d puts", i, len(puts))
+			}
+		}
+		snap, err := s.Scan(Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want := []Record{rec("h1", "h2", 20, 55), rec("h1", "h3", 5, 70), rec("h2", "h1", 30, 10)}
+		if len(snap.Records) != len(want) {
+			t.Fatalf("scan returned %d records, want one per path (%d): %+v", len(snap.Records), len(want), snap.Records)
+		}
+		for i, w := range want {
+			if snap.Records[i] != w {
+				t.Errorf("scan[%d] = %+v, want %+v", i, snap.Records[i], w)
+			}
+		}
+		if snap.Version != last {
+			t.Errorf("scan version = %d, want %d", snap.Version, last)
+		}
+	})
+
 	t.Run("ScanOrdering", func(t *testing.T) {
 		s := newStore(t)
 		// Insert deliberately out of order across paths and timestamps.
 		for _, r := range []Record{
-			rec("h2", "h1", 30, 10), rec("h1", "h2", 20, 50), rec("h1", "h2", 10, 40),
-			rec("h1", "h3", 5, 70), rec("h2", "h1", 25, 15),
+			rec("h3", "h1", 7, 20), rec("h2", "h1", 30, 10), rec("h1", "h2", 20, 50),
+			rec("h1", "h2", 10, 40), rec("h1", "h3", 5, 70), rec("h2", "h1", 25, 15),
 		} {
 			if _, err := s.Put(r); err != nil {
 				t.Fatalf("Put(%v): %v", r, err)
@@ -37,8 +91,8 @@ func StoreConformance(t *testing.T, newStore func(t *testing.T) Store) {
 			t.Fatal(err)
 		}
 		want := []Record{
-			rec("h1", "h2", 10, 40), rec("h1", "h2", 20, 50), rec("h1", "h3", 5, 70),
-			rec("h2", "h1", 25, 15), rec("h2", "h1", 30, 10),
+			rec("h1", "h2", 20, 50), rec("h1", "h3", 5, 70),
+			rec("h2", "h1", 30, 10), rec("h3", "h1", 7, 20),
 		}
 		if len(snap.Records) != len(want) {
 			t.Fatalf("scan returned %d records, want %d: %+v", len(snap.Records), len(want), snap.Records)
@@ -46,36 +100,6 @@ func StoreConformance(t *testing.T, newStore func(t *testing.T) Store) {
 		for i, w := range want {
 			if snap.Records[i] != w {
 				t.Errorf("scan[%d] = %+v, want %+v", i, snap.Records[i], w)
-			}
-		}
-	})
-
-	t.Run("ScanFilters", func(t *testing.T) {
-		s := newStore(t)
-		for _, r := range []Record{
-			rec("h1", "h2", 10, 1), rec("h1", "h2", 20, 2), rec("h2", "h3", 15, 3),
-		} {
-			if _, err := s.Put(r); err != nil {
-				t.Fatal(err)
-			}
-		}
-		snap, err := s.Scan(Query{Path: Path{From: "h1", To: "h2"}})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(snap.Records) != 2 {
-			t.Fatalf("path filter returned %d records, want 2", len(snap.Records))
-		}
-		snap, err = s.Scan(Query{SinceNs: 15})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if len(snap.Records) != 2 {
-			t.Fatalf("since filter returned %d records, want 2: %+v", len(snap.Records), snap.Records)
-		}
-		for _, r := range snap.Records {
-			if r.At < 15 {
-				t.Errorf("since filter leaked record at %d", r.At)
 			}
 		}
 	})
@@ -94,6 +118,22 @@ func StoreConformance(t *testing.T, newStore func(t *testing.T) Store) {
 		}
 		if len(snap.Records) != 1 || snap.Records[0].Mbps != 90 {
 			t.Fatalf("replace at (path,timestamp) key failed: %+v", snap.Records)
+		}
+	})
+
+	t.Run("BoundedRecords", func(t *testing.T) {
+		s := newStore(t)
+		for i := 0; i < 10000; i++ {
+			if _, err := s.Put(rec("h0", fmt.Sprintf("h%d", 1+i%4), int64(1+i), float64(i))); err != nil {
+				t.Fatal(err)
+			}
+		}
+		snap, err := s.Scan(Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(snap.Records) != 4 {
+			t.Fatalf("10000 puts over 4 paths scanned back as %d records, want 4", len(snap.Records))
 		}
 	})
 
@@ -249,19 +289,18 @@ func StoreConformance(t *testing.T, newStore func(t *testing.T) Store) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got, want := len(snap.Records), writers*perWriter; got != want {
-			t.Fatalf("after concurrent puts: %d records, want %d", got, want)
+		if got := len(snap.Records); got != writers {
+			t.Fatalf("after concurrent puts: %d records, want one per path (%d)", got, writers)
 		}
 		if snap.Version != uint64(writers*perWriter) {
 			t.Fatalf("final version %d, want %d", snap.Version, writers*perWriter)
 		}
-		for i := 1; i < len(snap.Records); i++ {
-			a, b := snap.Records[i-1], snap.Records[i]
-			if a.Path == b.Path && a.At >= b.At {
-				t.Fatalf("unsorted scan under concurrency at %d: %+v then %+v", i, a, b)
+		for i, r := range snap.Records {
+			if r.At != perWriter {
+				t.Fatalf("path %v kept At %d, want the freshest (%d)", r.Path, r.At, perWriter)
 			}
-			if a.Path != b.Path && !a.Path.Less(b.Path) {
-				t.Fatalf("paths unsorted under concurrency at %d: %v then %v", i, a.Path, b.Path)
+			if i > 0 && !snap.Records[i-1].Path.Less(r.Path) {
+				t.Fatalf("paths unsorted under concurrency at %d: %v then %v", i, snap.Records[i-1].Path, r.Path)
 			}
 		}
 	})

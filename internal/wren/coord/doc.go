@@ -6,11 +6,12 @@
 //
 // Three pieces compose the tier:
 //
-//   - Store: observation records keyed by (path, timestamp) behind a
+//   - Store: the freshest observation record of each path behind a
 //     backend interface — Put, versioned Scan snapshots, and Watch
-//     subscriptions. MemStore shards the key space in memory; FileStore
-//     adds an append-only persistent log with crash-tolerant replay. Both
-//     pass the shared StoreConformance suite.
+//     subscriptions. MemStore keeps one record per path under one lock;
+//     FileStore adds an append-only persistent log with crash-tolerant
+//     replay, compacted on open. Both pass the shared StoreConformance
+//     suite.
 //
 //   - Scheduler: staleness- and demand-driven probe planning. Demand
 //     arrives from the VTTIF delta stream and the controller (not

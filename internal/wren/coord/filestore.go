@@ -2,11 +2,17 @@ package coord
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"os"
+	"path/filepath"
 	"sync"
 )
+
+// compactRatio bounds the log's growth: an open that replays more than
+// compactRatio log lines per live path rewrites the log to the live set.
+const compactRatio = 4
 
 // FileStore is the persistent Store: a MemStore for every query path plus
 // an append-only record log on disk. One JSON record per line keeps the
@@ -15,6 +21,12 @@ import (
 // poisoning the store. Put is write-ahead — the record hits the log
 // before it becomes visible, so a Put that returned cannot be lost to a
 // clean restart.
+//
+// Replay goes through MemStore.Put, so the freshest record per path wins
+// whatever the line order, and Version() after an open counts the log
+// lines replayed. When those lines outnumber the live paths more than
+// compactRatio to one, the open rewrites the log to one line per path;
+// the next open then replays, and counts, only those.
 type FileStore struct {
 	mem *MemStore
 
@@ -25,7 +37,8 @@ type FileStore struct {
 	closed bool
 }
 
-// OpenFileStore opens (creating if absent) the log at path and replays it.
+// OpenFileStore opens (creating if absent) the log at path, replays it,
+// and compacts it when it has outgrown the live set.
 func OpenFileStore(path string) (*FileStore, error) {
 	f, err := os.OpenFile(path, os.O_CREATE|os.O_RDWR, 0o644)
 	if err != nil {
@@ -36,23 +49,38 @@ func OpenFileStore(path string) (*FileStore, error) {
 		f.Close()
 		return nil, err
 	}
-	if _, err := f.Seek(0, 2); err != nil {
-		f.Close()
+	// The snapshot's version counts the lines replay loaded; a fresh
+	// MemStore cannot fail to Scan.
+	if snap, _ := s.mem.Scan(Query{}); snap.Version > compactRatio*uint64(len(snap.Records)) {
+		if err := s.compact(snap.Records); err != nil {
+			s.f.Close()
+			return nil, fmt.Errorf("coord: compact store log: %w", err)
+		}
+	}
+	if _, err := s.f.Seek(0, 2); err != nil {
+		s.f.Close()
 		return nil, fmt.Errorf("coord: seek store log: %w", err)
 	}
-	s.w = bufio.NewWriter(f)
+	s.w = bufio.NewWriter(s.f)
 	return s, nil
 }
 
-// replay loads every intact record from the log. A malformed or truncated
-// line ends the replay (everything after a torn write is untrusted); the
+// replay loads every intact record from the log. A record is committed
+// once its newline is on disk: a malformed line or an unterminated tail
+// ends the replay (everything after a torn write is untrusted), and the
 // file is truncated back to the last good line so the next append starts
-// on a record boundary. A line too long to scan is not a torn write — valid
-// records may follow it — so it fails the open and leaves the file as it
-// was rather than truncating them away.
+// on a record boundary. A line too long to scan is not a torn write —
+// valid records may follow it — so it fails the open and leaves the file
+// as it was rather than truncating them away.
 func (s *FileStore) replay() error {
 	sc := bufio.NewScanner(s.f)
 	sc.Buffer(make([]byte, 0, 64*1024), 1024*1024)
+	sc.Split(func(data []byte, _ bool) (int, []byte, error) {
+		if i := bytes.IndexByte(data, '\n'); i >= 0 {
+			return i + 1, data[:i+1], nil
+		}
+		return 0, nil, nil
+	})
 	var good int64
 	for sc.Scan() {
 		line := sc.Bytes()
@@ -63,7 +91,7 @@ func (s *FileStore) replay() error {
 		if _, err := s.mem.Put(rec); err != nil {
 			return err
 		}
-		good += int64(len(line)) + 1
+		good += int64(len(line))
 	}
 	if err := sc.Err(); err != nil {
 		return fmt.Errorf("coord: replay store log at byte %d: %w", good, err)
@@ -72,6 +100,58 @@ func (s *FileStore) replay() error {
 		return fmt.Errorf("coord: truncate torn store log: %w", err)
 	}
 	return nil
+}
+
+// compact replaces the log with one line per live record. The new log is
+// written and synced beside the old one with the old one's permissions,
+// renamed over it, and the rename made durable with a directory sync, so
+// a crash at any point leaves either the old log or the new one.
+func (s *FileStore) compact(live []Record) error {
+	fi, err := s.f.Stat()
+	if err != nil {
+		return err
+	}
+	dir := filepath.Dir(s.path)
+	tmp, err := os.CreateTemp(dir, filepath.Base(s.path)+".compact-*")
+	if err != nil {
+		return err
+	}
+	renamed := false
+	defer func() {
+		if !renamed {
+			tmp.Close()
+			os.Remove(tmp.Name())
+		}
+	}()
+	if err := tmp.Chmod(fi.Mode().Perm()); err != nil {
+		return err
+	}
+	w := bufio.NewWriter(tmp)
+	for _, rec := range live {
+		line, err := json.Marshal(rec)
+		if err != nil {
+			return err
+		}
+		w.Write(append(line, '\n')) // a bufio.Writer error sticks until Flush
+	}
+	if err := w.Flush(); err != nil {
+		return err
+	}
+	if err := tmp.Sync(); err != nil {
+		return err
+	}
+	if err := os.Rename(tmp.Name(), s.path); err != nil {
+		return err
+	}
+	renamed = true
+	s.f.Close()
+	s.f = tmp
+	d, err := os.Open(dir)
+	if err != nil {
+		return err
+	}
+	defer d.Close()
+	return d.Sync()
 }
 
 // SetMetrics attaches metrics to the backing MemStore (log appends count
@@ -100,7 +180,7 @@ func (s *FileStore) Put(rec Record) (uint64, error) {
 		return 0, fmt.Errorf("coord: append store log: %w", err)
 	}
 	// Memory visibility happens under the same lock as the append, so the
-	// log's record order matches the order replace-at-key wins resolve in.
+	// log's line order matches the order ties on At resolve in.
 	return s.mem.Put(rec)
 }
 

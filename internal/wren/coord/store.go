@@ -24,15 +24,11 @@ func (p Path) Less(q Path) bool {
 	return p.To < q.To
 }
 
-// IsZero reports the unset path (used as the "all paths" query).
-func (p Path) IsZero() bool { return p.From == "" && p.To == "" }
-
 // Record is one path measurement: what was measured for a path at one
 // point in time. It is the only shape a measurement has once it leaves
 // wren.Monitor — control report, store, published map and sense chain all
 // carry it unchanged. Zero Mbps or LatencyMs means "not measured", zero At
-// "no timestamp". Stored records are keyed by (Path, At): a Put with an
-// existing key replaces the earlier record rather than duplicating it.
+// "no timestamp". A store holds one record per Path: the freshest by At.
 type Record struct {
 	Path      Path    `json:"path"`
 	At        int64   `json:"at,omitempty"` // observation time, unix nanoseconds
@@ -42,13 +38,9 @@ type Record struct {
 	Quality   float64 `json:"quality,omitempty"`
 }
 
-// Query selects records for Scan. The zero value selects everything.
-type Query struct {
-	// Path restricts the scan to one path; the zero Path means all paths.
-	Path Path
-	// SinceNs drops records older than this observation timestamp.
-	SinceNs int64
-}
+// Query is Scan's argument. It has no fields: every Scan returns the
+// whole latest-value set.
+type Query struct{}
 
 // Snapshot is one versioned Scan result: the records plus the store
 // version they reflect. Version is monotonic: a later Scan never reports
@@ -62,14 +54,15 @@ type Snapshot struct {
 // ErrClosed is returned by operations on a closed store.
 var ErrClosed = errors.New("coord: store closed")
 
-// Store is the pluggable observation backend. Implementations must
-// provide:
+// Store is the pluggable observation backend: the latest value of each
+// path, not its history. Implementations must provide:
 //
-//   - Put: insert or replace the record at (Path, At), returning the
-//     store version that first contains it. Versions increase by one per
-//     Put.
-//   - Scan: a versioned snapshot of matching records, sorted by
-//     (Path.From, Path.To, At) — the invariant the map builder and every
+//   - Put: store the record as its path's value unless the path already
+//     holds a strictly fresher one (a tie on At replaces). Every Put —
+//     including one too old to replace anything — returns a new version,
+//     one above the last, and is delivered to watchers.
+//   - Scan: a versioned snapshot holding one record per path, sorted by
+//     (Path.From, Path.To) — the invariant the map builder and every
 //     other consumer relies on.
 //   - Watch: a subscription delivering every subsequent Put in order. A
 //     subscriber that falls more than buffer records behind loses the

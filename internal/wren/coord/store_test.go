@@ -12,10 +12,11 @@ import (
 	"sort"
 	"strings"
 	"testing"
+	"time"
 )
 
 // TestMemStoreConformance runs the shared backend contract against the
-// sharded in-memory store.
+// in-memory store.
 func TestMemStoreConformance(t *testing.T) {
 	StoreConformance(t, func(t *testing.T) Store {
 		s := NewMemStore()
@@ -39,7 +40,7 @@ func TestFileStoreConformance(t *testing.T) {
 
 // TestFileStoreReplay closes a populated store and reopens it: every
 // record and the scan order must survive; the version counter restarts
-// from the replayed record count.
+// from the replayed line count.
 func TestFileStoreReplay(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "coord.log")
 	s, err := OpenFileStore(path)
@@ -98,8 +99,8 @@ func TestFileStoreReplay(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(snap.Records) != len(recs)+1 {
-		t.Fatalf("post-reopen append lost: %d records, want %d", len(snap.Records), len(recs)+1)
+	if len(snap.Records) != len(before.Records)+1 {
+		t.Fatalf("post-reopen append lost: %d records, want %d", len(snap.Records), len(before.Records)+1)
 	}
 }
 
@@ -115,7 +116,7 @@ func TestFileStoreTornTail(t *testing.T) {
 	if _, err := s.Put(Record{Path: Path{From: "h1", To: "h2"}, At: 10, Mbps: 40}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := s.Put(Record{Path: Path{From: "h1", To: "h2"}, At: 20, Mbps: 50}); err != nil {
+	if _, err := s.Put(Record{Path: Path{From: "h1", To: "h3"}, At: 20, Mbps: 50}); err != nil {
 		t.Fatal(err)
 	}
 	s.Close()
@@ -201,41 +202,51 @@ func TestFileStoreOverlongLineFailsOpen(t *testing.T) {
 	}
 }
 
-// fullSortScan is the Scan MemStore had before it ordered runs instead of
-// records: gather every matching record, then comparison-sort them all by
-// (Path, At).
-func fullSortScan(s *MemStore, q Query) []Record {
-	var out []Record
-	for i := range s.shards {
-		sh := &s.shards[i]
-		sh.mu.Lock()
-		for p, recs := range sh.paths {
-			if !q.Path.IsZero() && p != q.Path {
-				continue
-			}
-			j := sort.Search(len(recs), func(j int) bool { return recs[j].At >= q.SinceNs })
-			out = append(out, recs[j:]...)
-		}
-		sh.mu.Unlock()
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Path != out[j].Path {
-			return out[i].Path.Less(out[j].Path)
-		}
-		return out[i].At < out[j].At
-	})
-	return out
+// historyModel is the store as it was before it kept only latest values:
+// every Put appended, a repeated (Path, At) key replaced by the last write,
+// records sorted by (Path, At). Its map is the last record of each path,
+// exactly as BuildMap picked them from that history.
+type historyModel struct {
+	puts uint64
+	recs map[Record]Record // keyed by (Path, At) only
 }
 
-// TestMemStoreScanMatchesFullSort is the differential test for Scan's run
-// ordering: over seeded Put streams with repeated (Path, At) keys and
-// timestamps arriving out of order, every query — all paths, one path
-// (present or not), a SinceNs cut, both — returns exactly what sorting
-// every record does.
-func TestMemStoreScanMatchesFullSort(t *testing.T) {
+func (h *historyModel) put(rec Record) {
+	h.puts++
+	h.recs[Record{Path: rec.Path, At: rec.At}] = rec
+}
+
+func (h *historyModel) buildMap(now time.Time) *BandwidthMap {
+	var all []Record
+	for _, r := range h.recs {
+		all = append(all, r)
+	}
+	sort.Slice(all, func(i, j int) bool {
+		if all[i].Path != all[j].Path {
+			return all[i].Path.Less(all[j].Path)
+		}
+		return all[i].At < all[j].At
+	})
+	m := &BandwidthMap{Epoch: now.Unix(), StoreVersion: h.puts}
+	for i, rec := range all {
+		if i+1 < len(all) && all[i+1].Path == rec.Path {
+			continue
+		}
+		m.Entries = append(m.Entries, rec)
+	}
+	return m
+}
+
+// TestMemStoreMatchesHistoryModel is the differential test for the
+// latest-value store: over seeded Put streams with repeated (Path, At)
+// keys and timestamps arriving out of order, the published map text is
+// byte-identical to the one the full-history model yields.
+func TestMemStoreMatchesHistoryModel(t *testing.T) {
+	now := time.Unix(1_700_000_000, 0)
 	for seed := int64(1); seed <= 20; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		s := NewMemStore()
+		ref := &historyModel{recs: make(map[Record]Record)}
 		hosts := []string{"h1", "h2", "h10", "a", "b", "h1 ", "z"}
 		var paths []Path
 		for i := 0; i < 2+rng.Intn(24); i++ {
@@ -246,22 +257,127 @@ func TestMemStoreScanMatchesFullSort(t *testing.T) {
 			if _, err := s.Put(rec); err != nil {
 				t.Fatal(err)
 			}
+			ref.put(rec)
 		}
-		queries := []Query{{}, {SinceNs: 1}, {SinceNs: 100}, {SinceNs: 201},
-			{Path: Path{From: "nobody", To: "h1"}}}
-		for _, p := range paths {
-			queries = append(queries, Query{Path: p}, Query{Path: p, SinceNs: 1 + rng.Int63n(200)})
+		m, err := BuildMap(s, now)
+		if err != nil {
+			t.Fatal(err)
 		}
-		for _, q := range queries {
-			snap, err := s.Scan(q)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if want := fullSortScan(s, q); !reflect.DeepEqual(snap.Records, want) {
-				t.Fatalf("seed %d query %+v: Scan returned %d records, full sort %d:\n got %+v\nwant %+v",
-					seed, q, len(snap.Records), len(want), snap.Records, want)
-			}
+		if got, want := m.Bytes(), ref.buildMap(now).Bytes(); !bytes.Equal(got, want) {
+			t.Fatalf("seed %d: map differs from the history model:\n got %s\nwant %s", seed, got, want)
 		}
 		s.Close()
 	}
+}
+
+// scanFile opens the log at path, scans it, and closes it again.
+func scanFile(t *testing.T, path string) Snapshot {
+	t.Helper()
+	s, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer s.Close()
+	snap, err := s.Scan(Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	return snap
+}
+
+// TestFileStoreReplayFreshestWins: a log whose newer line for a path comes
+// before an older one reopens with the newer record.
+func TestFileStoreReplayFreshestWins(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "coord.log")
+	log := `{"path":{"From":"h1","To":"h2"},"at":20,"mbps":50}` + "\n" +
+		`{"path":{"From":"h1","To":"h2"},"at":10,"mbps":40}` + "\n"
+	if err := os.WriteFile(path, []byte(log), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	snap := scanFile(t, path)
+	want := Record{Path: Path{From: "h1", To: "h2"}, At: 20, Mbps: 50}
+	if len(snap.Records) != 1 || snap.Records[0] != want {
+		t.Fatalf("reopened %+v, want only %+v", snap.Records, want)
+	}
+	if snap.Version != 2 {
+		t.Fatalf("reopened version = %d, want the 2 replayed lines", snap.Version)
+	}
+}
+
+// TestFileStoreCompactsOnOpen: 1000 Puts on 3 paths shrink to 3 log lines
+// on reopen, and the store scans identically before and after.
+func TestFileStoreCompactsOnOpen(t *testing.T) {
+	path := filepath.Join(t.TempDir(), "coord.log")
+	s, err := OpenFileStore(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 1000; i++ {
+		rec := Record{Path: Path{From: "h0", To: fmt.Sprintf("h%d", 1+i%3)}, At: int64(1 + i), Mbps: float64(i)}
+		if _, err := s.Put(rec); err != nil {
+			t.Fatal(err)
+		}
+	}
+	before, err := s.Scan(Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.Close()
+
+	after := scanFile(t, path)
+	if !reflect.DeepEqual(after.Records, before.Records) {
+		t.Fatalf("compacting reopen changed the records:\n got %+v\nwant %+v", after.Records, before.Records)
+	}
+	if after.Version != 1000 {
+		t.Fatalf("compacting reopen version = %d, want the 1000 replayed lines", after.Version)
+	}
+	data, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n := bytes.Count(data, []byte("\n")); n != 3 {
+		t.Fatalf("compacted log has %d lines, want 3", n)
+	}
+	if entries, _ := os.ReadDir(filepath.Dir(path)); len(entries) != 1 {
+		t.Fatalf("compaction left %d files behind, want only the log", len(entries))
+	}
+	again := scanFile(t, path)
+	if !reflect.DeepEqual(again.Records, before.Records) || again.Version != 3 {
+		t.Fatalf("reopen of the compacted log = %d records at version %d, want %d at 3",
+			len(again.Records), again.Version, len(before.Records))
+	}
+}
+
+// FuzzFileStoreReplay: no log bytes panic OpenFileStore, and an open that
+// succeeds leaves a log that a second open replays to the same records.
+func FuzzFileStoreReplay(f *testing.F) {
+	valid := `{"path":{"From":"h1","To":"h2"},"at":10,"mbps":40}` + "\n" +
+		`{"path":{"From":"h2","To":"h1"},"at":15,"mbps":30,"latencyMs":1.5}` + "\n"
+	f.Add([]byte(valid))
+	f.Add([]byte(valid + `{"path":{"From":"h9","To":"h8"},"at":99`))
+	f.Add([]byte(strings.TrimSuffix(valid, "\n")))         // a whole record is not committed without its newline
+	f.Add([]byte(strings.ReplaceAll(valid, "\n", "\r\n"))) // CR stays inside the line's byte count
+	f.Add([]byte(`{"path":{"From":"h1","To":"h2"},"at":20,"mbps":50}` + "\n" +
+		`{"path":{"From":"h1","To":"h2"},"at":10,"mbps":40}` + "\n"))
+	f.Fuzz(func(t *testing.T, log []byte) {
+		path := filepath.Join(t.TempDir(), "coord.log")
+		if err := os.WriteFile(path, log, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		s, err := OpenFileStore(path)
+		if err != nil {
+			return
+		}
+		first, err := s.Scan(Query{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		second := scanFile(t, path)
+		if !reflect.DeepEqual(first.Records, second.Records) {
+			t.Fatalf("second open replayed different records:\n got %+v\nwant %+v", second.Records, first.Records)
+		}
+	})
 }
