@@ -67,10 +67,10 @@ chaos:
 		./internal/estimator/eval/
 
 # Coordination-tier suite (DESIGN.md §10): store conformance on both
-# backends, scheduler property tests, bandwidth-map round-trip + fuzz
-# regression corpus, the chaos scenarios, and TestCoordEndToEnd — all
-# under the race detector with shuffled order. CHAOS_SEED/CHAOS_TRACE_DIR
-# work here exactly as in `make chaos`.
+# backends, the store's differential test against a history model,
+# bandwidth-map round-trip + fuzz regression corpus, the chaos scenarios,
+# and TestCoordEndToEnd — all under the race detector with shuffled
+# order. CHAOS_SEED/CHAOS_TRACE_DIR work here exactly as in `make chaos`.
 coordtest:
 	$(GO) test -race -shuffle=on -count=1 ./internal/wren/coord/
 

@@ -52,7 +52,7 @@ func main() {
 		ctrlAbs  = flag.Float64("controller-min-absolute", 1.0, "hysteresis: absolute objective gain required before acting")
 		ctrlWarm = flag.Bool("controller-warm", true, "warm-start the solver from the installed configuration on small traffic deltas (false = full re-solve every cycle)")
 		ctrlFull = flag.Float64("controller-full-fraction", 0, "traffic-delta fraction above which the solver re-solves from scratch (0 = default 0.3)")
-		estFuse  = flag.Duration("est-fusion", 0, "fuse active probe estimates into the controller's view when passive measurements are older than this (0 = passive only; requires -controller)")
+		estFuse  = flag.Duration("est-fusion", 0, "fuse active probe estimates into the controller's view when passive measurements are older than this; one probe train in flight at the hub, each peer probed at most once per interval (0 = passive only; requires -controller)")
 		mapURL   = flag.String("map-url", "", "wrenrepod base URL to fetch the published bandwidth map from; fills controller estimates the live view lacks (requires -controller)")
 		mapEvery = flag.Duration("map-fetch", 2*time.Second, "bandwidth map fetch interval (requires -map-url)")
 		sketch   = flag.Bool("vttif-sketch", false, "hub only: aggregate the traffic matrix with a count-min sketch plus exact top-k heavy edges (bounded memory under heavy traffic)")
@@ -323,11 +323,11 @@ func main() {
 			},
 		}
 		if *estFuse > 0 {
-			fusion, err := newLegFusion(d, monitor, *estFuse, logger)
+			prober, err := control.NewHubProber(d, monitor, *estFuse, logger)
 			if err != nil {
 				fatal("est-fusion", "err", err)
 			}
-			src.Fusion = &control.Fusion{StaleAfter: *estFuse, OnDemand: fusion.OnDemand}
+			src.Fusion = &control.Fusion{StaleAfter: *estFuse, OnDemand: prober.OnDemand}
 			logger.Info("active estimate fusion enabled", "stale_after", *estFuse)
 		}
 		if *mapURL != "" {

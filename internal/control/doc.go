@@ -9,7 +9,9 @@
 //   - Sense: a ProblemSource builds a Snapshot (a vadapt.Problem plus the
 //     naming context linking VM ids to MACs and host ids to daemon names).
 //     ViewSource reads a vnet.GlobalView; SOAPSource polls Wren services
-//     over SOAP; StaticSource replays a fixed snapshot.
+//     over SOAP; StaticSource replays a fixed snapshot. A Fusion hook
+//     lets ViewSource fill pairs with nothing fresh from active probes;
+//     HubProber is a hub daemon's budgeted implementation.
 //   - Decide: the greedy heuristic (optionally refined by simulated
 //     annealing) proposes a target configuration; vadapt.Diff turns the
 //     current->target difference into typed steps, and a vadapt.Gate

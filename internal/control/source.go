@@ -65,7 +65,8 @@ type PathProvenance struct {
 	// fresh), or "default" (nothing measured).
 	Source string `json:"source"`
 	// Kind and Quality describe the Wren estimator that produced a
-	// measured value ("" / 0 for fallbacks).
+	// measured value (kind "active" for an active probe, "" / 0 for
+	// fallbacks).
 	Kind    string  `json:"kind,omitempty"`
 	Quality float64 `json:"quality,omitempty"`
 	// AgeSec is how stale the measurement was at sense time (0 when the
@@ -144,11 +145,12 @@ type Fusion struct {
 	// StaleAfter is the passive-measurement age beyond which OnDemand is
 	// consulted (default 30s).
 	StaleAfter time.Duration
-	// OnDemand returns an actively measured bandwidth for the pair, or
-	// ok=false when none is available (yet). Implementations should kick
-	// off probing on first request and answer from their latest belief —
-	// the control loop will be back next cycle.
-	OnDemand func(from, to string) (mbps float64, ok bool)
+	// OnDemand returns an active measurement of the pair — its bandwidth
+	// and observation time — or ok=false when none is available (yet).
+	// Implementations should kick off probing on first request and answer
+	// from their latest belief — the control loop will be back next cycle.
+	// HubProber.OnDemand is the hub daemon's implementation.
+	OnDemand func(from, to string) (coord.Record, bool)
 }
 
 func (f *Fusion) staleAfter() float64 {
@@ -168,15 +170,24 @@ func (f *Fusion) fuse(bw float64, prov PathProvenance) (float64, PathProvenance)
 	if !stale {
 		return bw, prov
 	}
-	mbps, ok := f.OnDemand(prov.From, prov.To)
-	if !ok || mbps <= 0 {
+	r, ok := f.OnDemand(prov.From, prov.To)
+	if !ok || r.Mbps <= 0 {
 		return bw, prov
 	}
 	prov.Source = "active-probe"
-	prov.Kind, prov.Quality = "", 0
-	prov.AgeSec = 0
-	prov.Mbps = mbps
-	return mbps, prov
+	prov.Kind, prov.Quality = r.Kind, r.Quality
+	prov.AgeSec = ageSec(r.At)
+	prov.Mbps = r.Mbps
+	return r.Mbps, prov
+}
+
+// ageSec is how long ago an observation stamped at (ns) was made, 0 when
+// it carries no timestamp.
+func ageSec(at int64) float64 {
+	if at == 0 {
+		return 0
+	}
+	return time.Since(time.Unix(0, at)).Seconds()
 }
 
 // link is one rung of the sense chain: a lookup for an exact direction,
@@ -309,10 +320,7 @@ func (sn *sense) estimate(from, to string) (bw, lat float64, prov PathProvenance
 		lat = sn.defLat
 	}
 	prov = PathProvenance{From: from, To: to, Mbps: bw, LatencyMs: lat,
-		Source: source, Kind: r.Kind, Quality: r.Quality}
-	if r.At != 0 {
-		prov.AgeSec = time.Since(time.Unix(0, r.At)).Seconds()
-	}
+		Source: source, Kind: r.Kind, Quality: r.Quality, AgeSec: ageSec(r.At)}
 	bw, prov = sn.fusion.fuse(bw, prov)
 	return bw, lat, prov
 }

@@ -47,9 +47,9 @@ func fusionView(f *Fusion) (*ViewSource, *vnet.GlobalView) {
 func TestFusionFillsUnmeasuredPair(t *testing.T) {
 	var asked [][2]string
 	src, _ := fusionView(&Fusion{
-		OnDemand: func(from, to string) (float64, bool) {
+		OnDemand: func(from, to string) (coord.Record, bool) {
 			asked = append(asked, [2]string{from, to})
-			return 42, true
+			return coord.Record{Mbps: 42}, true
 		},
 	})
 	bw, _, prov := src.estimate("a", "b")
@@ -68,9 +68,9 @@ func TestFusionFillsUnmeasuredPair(t *testing.T) {
 // the active hook is never consulted.
 func TestFusionDefersToFreshPassive(t *testing.T) {
 	src, view := fusionView(&Fusion{
-		OnDemand: func(from, to string) (float64, bool) {
+		OnDemand: func(from, to string) (coord.Record, bool) {
 			t.Fatalf("OnDemand consulted despite fresh passive measurement (%s->%s)", from, to)
-			return 0, false
+			return coord.Record{}, false
 		},
 	})
 	view.SetPath(measured("a", "b", 77, 0))
@@ -85,12 +85,32 @@ func TestFusionDefersToFreshPassive(t *testing.T) {
 func TestFusionOverridesStalePassive(t *testing.T) {
 	src, view := fusionView(&Fusion{
 		StaleAfter: 10 * time.Second,
-		OnDemand:   func(from, to string) (float64, bool) { return 33, true },
+		OnDemand:   func(from, to string) (coord.Record, bool) { return coord.Record{Mbps: 33}, true },
 	})
 	view.SetPath(measured("a", "b", 77, time.Minute))
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 33 || prov.Source != "active-probe" {
 		t.Fatalf("got %v/%s, want the active 33/active-probe", bw, prov.Source)
+	}
+}
+
+// TestFusionActiveRecordKeepsItsAge: an active answer is aged from its
+// own observation time, like every other record on the sense chain — a
+// leg measured 5 s ago is reported 5 s old, not fresh.
+func TestFusionActiveRecordKeepsItsAge(t *testing.T) {
+	src, _ := fusionView(&Fusion{
+		OnDemand: func(from, to string) (coord.Record, bool) {
+			r := measured(from, to, 33, 5*time.Second)
+			r.Kind = "active"
+			return r, true
+		},
+	})
+	bw, _, prov := src.estimate("a", "b")
+	if bw != 33 || prov.Source != "active-probe" || prov.Kind != "active" {
+		t.Fatalf("got %v/%s/%s, want the active 33/active-probe/active", bw, prov.Source, prov.Kind)
+	}
+	if prov.AgeSec < 5 || prov.AgeSec > 6 {
+		t.Fatalf("age_sec = %v, want the active observation's ~5", prov.AgeSec)
 	}
 }
 
@@ -103,7 +123,7 @@ func TestReportedObservationKeepsItsAge(t *testing.T) {
 	asked := 0
 	src, view := fusionView(&Fusion{
 		StaleAfter: 30 * time.Second,
-		OnDemand:   func(from, to string) (float64, bool) { asked++; return 0, false },
+		OnDemand:   func(from, to string) (coord.Record, bool) { asked++; return coord.Record{}, false },
 	})
 	at := time.Now().Add(-time.Hour).UnixNano()
 	view.HandleControl("a", []byte(fmt.Sprintf(
@@ -124,7 +144,7 @@ func TestReportedObservationKeepsItsAge(t *testing.T) {
 // the default estimate and its provenance untouched.
 func TestFusionFallsThroughWhenActiveHasNothing(t *testing.T) {
 	src, _ := fusionView(&Fusion{
-		OnDemand: func(from, to string) (float64, bool) { return 0, false },
+		OnDemand: func(from, to string) (coord.Record, bool) { return coord.Record{}, false },
 	})
 	bw, _, prov := src.estimate("a", "b")
 	if prov.Source != "default" || bw != 100 {
@@ -291,7 +311,7 @@ func TestFusionOverridesStaleMapEntry(t *testing.T) {
 	}})
 	src.Fusion = &Fusion{
 		StaleAfter: 10 * time.Second,
-		OnDemand:   func(from, to string) (float64, bool) { return 88, true },
+		OnDemand:   func(from, to string) (coord.Record, bool) { return coord.Record{Mbps: 88}, true },
 	}
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 88 || prov.Source != "active-probe" {

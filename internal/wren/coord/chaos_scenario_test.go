@@ -55,179 +55,6 @@ func dumpTrace(t *testing.T, fr *obs.FlightRecorder, seed int64) {
 	}
 }
 
-// TestChaosAgentCrashMidRound crashes the probe agent for one target in
-// the middle of a multi-round plan. The scheduler must keep its per-target
-// budget through the failure storm, back the crashed paths off instead of
-// hammering them, and — once the agent returns — resume rounds until every
-// demanded path is measured.
-func TestChaosAgentCrashMidRound(t *testing.T) {
-	seed := chaosSeed(t)
-	rng := rand.New(rand.NewSource(seed))
-	clk := chaos.NewFakeClock()
-	fr := obs.NewFlightRecorder(512)
-
-	const budget = 2
-	sched := coord.NewScheduler(coord.SchedulerConfig{
-		StaleAfter:  time.Hour, // nothing re-expires mid-scenario
-		Budget:      budget,
-		MaxAttempts: 40, // the outage must exhaust backoff patience, not park
-		RetryBase:   100 * time.Millisecond,
-		RetryMax:    800 * time.Millisecond,
-		Now:         clk.Now,
-	})
-	sched.SetFlight(fr)
-	sched.SetTrace(obs.NewTrace())
-
-	st := coord.NewMemStore()
-	defer st.Close()
-	stop, err := sched.FollowStore(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer stop()
-
-	// Demand a small mesh: every host pair, two hosts sharing the crashed
-	// agent's target.
-	hosts := []string{"h1", "h2", "h3"}
-	var want []coord.Path
-	for _, f := range hosts {
-		for _, to := range hosts {
-			if f != to {
-				p := coord.Path{From: f, To: to}
-				want = append(want, p)
-				sched.Demand(p)
-			}
-		}
-	}
-
-	// agentDown simulates the crashed measurement agent on h2: every probe
-	// toward it fails while down. Wired through the chaos fabric so the
-	// fault injection/clearing follows the repo-wide scenario idiom.
-	var agentDown atomic.Bool
-	fab := chaos.NewOverlayFabric(nil)
-	fab.RegisterService("agent-h2", chaos.Service{
-		Down: func() error { agentDown.Store(true); return nil },
-		Up:   func() error { agentDown.Store(false); return nil },
-	})
-
-	execute := func(task coord.ProbeTask) {
-		if task.Path.To == "h2" && agentDown.Load() {
-			sched.Complete(task, errors.New("agent h2 unreachable"))
-			return
-		}
-		if _, err := st.Put(coord.Record{
-			Path: task.Path, At: clk.Now().UnixNano(), Mbps: 10 + rng.Float64()*90,
-		}); err != nil {
-			t.Errorf("store put: %v", err)
-		}
-		sched.Complete(task, nil)
-	}
-	waitRefresh := func(p coord.Path) {
-		deadline := time.Now().Add(5 * time.Second)
-		for {
-			stale := sched.Stale()
-			found := false
-			for _, s := range stale {
-				if s == p {
-					found = true
-				}
-			}
-			if !found {
-				return
-			}
-			if time.Now().After(deadline) {
-				t.Fatalf("watch never refreshed %v", p)
-			}
-			time.Sleep(time.Millisecond)
-		}
-	}
-
-	// Round 1 runs healthy, then the crash lands mid-scenario.
-	r, ok := sched.Plan()
-	if !ok {
-		dumpTrace(t, fr, seed)
-		t.Fatal("no first round for six stale paths")
-	}
-	clear, err := fab.Inject(chaos.Fault{Kind: chaos.Outage}, "agent-h2")
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, task := range r.Tasks {
-		execute(task)
-	}
-
-	// Outage phase: keep planning on the fake clock. Probes toward h2 fail
-	// and back off; everything else completes. The budget holds every round.
-	crashRounds := 0
-	for i := 0; i < 40; i++ {
-		r, ok := sched.Plan()
-		if ok {
-			perTarget := make(map[string]int)
-			for _, task := range r.Tasks {
-				perTarget[task.Path.To]++
-			}
-			for target, n := range perTarget {
-				if n > budget {
-					dumpTrace(t, fr, seed)
-					t.Fatalf("outage round %d issued %d probes toward %q, budget %d", r.Number, n, target, budget)
-				}
-			}
-			crashRounds++
-			for _, task := range r.Tasks {
-				execute(task)
-			}
-		}
-		clk.Advance(time.Duration(50+rng.Intn(150)) * time.Millisecond)
-	}
-	for _, p := range want {
-		if p.To != "h2" {
-			waitRefresh(p)
-		}
-	}
-	if got := len(sched.Stale()); got != 2 {
-		dumpTrace(t, fr, seed)
-		t.Fatalf("after outage phase %d paths stale, want exactly the 2 toward h2: %v", got, sched.Stale())
-	}
-	if crashRounds == 0 {
-		t.Fatal("scheduler planned nothing during the outage")
-	}
-
-	// Recovery: the agent returns; rounds resume and drain the backlog.
-	clear()
-	deadline := time.Now().Add(10 * time.Second)
-	for len(sched.Stale()) > 0 {
-		if time.Now().After(deadline) {
-			dumpTrace(t, fr, seed)
-			t.Fatalf("rounds never drained after recovery; still stale: %v", sched.Stale())
-		}
-		if r, ok := sched.Plan(); ok {
-			for _, task := range r.Tasks {
-				execute(task)
-			}
-		}
-		clk.Advance(200 * time.Millisecond)
-		time.Sleep(time.Millisecond) // let the watch goroutine deliver
-	}
-
-	snap, err := st.Scan(coord.Query{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, p := range want {
-		found := false
-		for _, rec := range snap.Records {
-			if rec.Path == p {
-				found = true
-				break
-			}
-		}
-		if !found {
-			dumpTrace(t, fr, seed)
-			t.Fatalf("path %v never measured (store has %d records)", p, len(snap.Records))
-		}
-	}
-}
-
 // outageStore wraps a Store with a chaos-controlled outage switch: while
 // down, every operation fails. It stands in for a remote store backend
 // whose node is rebooting.

@@ -1,10 +1,10 @@
 // Package coord is the measurement coordination tier above the Wren
 // repository: the Iris/FlashFlow direction of the paper's passive
 // measurement service. Where internal/wren ingests and analyzes traces,
-// coord decides which paths need fresh observations, stores the resulting
-// records durably, and publishes a consumable artifact.
+// coord stores the resulting records durably and publishes a consumable
+// artifact.
 //
-// Three pieces compose the tier:
+// Two pieces compose the tier:
 //
 //   - Store: the freshest observation record of each path behind a
 //     backend interface — Put, versioned Scan snapshots, and Watch
@@ -12,12 +12,6 @@
 //     FileStore adds an append-only persistent log with crash-tolerant
 //     replay, compacted on open. Both pass the shared StoreConformance
 //     suite.
-//
-//   - Scheduler: staleness- and demand-driven probe planning. Demand
-//     arrives from the VTTIF delta stream and the controller (not
-//     poll-everything); the scheduler emits multi-round measurement plans
-//     under a per-target probe budget, with capped exponential retry
-//     backoff when an agent is lost mid-round.
 //
 //   - BandwidthMap: the versioned, atomically published capacity file
 //     (the v3bw idea) that control.ViewSource, VADAPT and external

@@ -18,9 +18,9 @@ import (
 )
 
 // coordSource wraps the ViewSource so each sense phase first runs the
-// coordination tier — scheduler rounds measure stale paths into the
-// store, the map is rebuilt, published, and re-fetched over HTTP — and
-// only then snapshots the view, exactly the order a live deployment sees.
+// coordination tier — the map is rebuilt from the store, published, and
+// re-fetched over HTTP — and only then snapshots the view, exactly the
+// order a live deployment sees.
 type coordSource struct {
 	inner *control.ViewSource
 	run   func()
@@ -37,13 +37,11 @@ func (s *coordSource) Snapshot() (*control.Snapshot, error) {
 }
 
 // TestCoordEndToEnd is the acceptance path of the coordination platform:
-// a three-proxy mesh with stale paths drives the scheduler through a
-// multi-round measurement plan (per-target budget 1 forces several
-// rounds), observations land in the store, the versioned bandwidth map is
-// built, atomically published, served over HTTP, parsed back, and a
-// controller cycle senses through it — estimates attributed "map" — and
-// feeds a VADAPT solve, with the scheduler rounds and map publication
-// recorded under the cycle's one trace ID.
+// on a three-proxy mesh, observations of all six host paths land in the
+// store, the versioned bandwidth map is built, atomically published,
+// served over HTTP, parsed back, and a controller cycle senses through it
+// — estimates attributed "map" — and feeds a VADAPT solve, with the map
+// publication recorded under the cycle's one trace ID.
 func TestCoordEndToEnd(t *testing.T) {
 	proxies := []string{"pa", "pb", "pc"}
 	hosts := []string{"h1", "h2", "h3"}
@@ -55,20 +53,10 @@ func TestCoordEndToEnd(t *testing.T) {
 
 	fr := obs.NewFlightRecorder(0)
 
-	// The coordination tier: store, scheduler (budget 1 per target, so the
-	// six demanded paths need multiple rounds), publisher behind a real
-	// HTTP server.
+	// The coordination tier: store and publisher behind a real HTTP
+	// server.
 	st := coord.NewMemStore()
 	t.Cleanup(func() { st.Close() })
-	sched := coord.NewScheduler(coord.SchedulerConfig{
-		StaleAfter: time.Hour, Budget: 1,
-	})
-	sched.SetFlight(fr)
-	stopFollow, err := sched.FollowStore(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(stopFollow)
 	pub := coord.NewPublisher()
 	pub.SetFlight(fr)
 	srv := httptest.NewServer(pub)
@@ -78,18 +66,9 @@ func TestCoordEndToEnd(t *testing.T) {
 	// vm0->vm1 and vm1->vm2.
 	macs := []ethernet.MAC{ethernet.VMMAC(0), ethernet.VMMAC(1), ethernet.VMMAC(2)}
 	hostOf := map[ethernet.MAC]string{macs[0]: "h1", macs[1]: "h2", macs[2]: "h3"}
-	resolve := func(pr vttif.Pair) (coord.Path, bool) {
-		from, ok1 := hostOf[pr.Src]
-		to, ok2 := hostOf[pr.Dst]
-		if !ok1 || !ok2 {
-			return coord.Path{}, false
-		}
-		return coord.Path{From: from, To: to}, true
-	}
 
 	// Seed traffic into the shard views (each host reports to its home
-	// shard) and drive the resulting VTTIF deltas into the scheduler — the
-	// demand-driven feed, not poll-everything.
+	// shard).
 	shardViews := o.ShardViews()
 	var shards []*vnet.GlobalView
 	for _, v := range shardViews {
@@ -97,30 +76,25 @@ func TestCoordEndToEnd(t *testing.T) {
 	}
 	shards[0].Agg.Update("h1", map[vttif.Pair]uint64{{Src: macs[0], Dst: macs[1]}: 60_000}, 1)
 	shards[1%len(shards)].Agg.Update("h2", map[vttif.Pair]uint64{{Src: macs[1], Dst: macs[2]}: 40_000}, 1)
-	for _, v := range shards {
-		ds, _ := v.Agg.Deltas()
-		sched.NoteDeltas(ds, resolve)
-	}
-	if len(sched.Stale()) == 0 {
-		t.Fatal("VTTIF deltas produced no scheduler demand")
-	}
-	// The controller side demands the remaining pairs: all six paths are
-	// now stale (never measured).
-	for _, f := range hosts {
-		for _, to := range hosts {
-			if f != to {
-				sched.Demand(coord.Path{From: f, To: to})
-			}
-		}
-	}
-	if got := len(sched.Stale()); got != 6 {
-		t.Fatalf("%d stale paths before the cycle, want 6", got)
-	}
 
-	// Deterministic "measurements": each path has a known bandwidth the
-	// provenance assertions can check against.
+	// Deterministic "measurements" of every host path: each has a known
+	// bandwidth the provenance assertions can check against.
 	bwOf := func(p coord.Path) float64 {
 		return 40 + 10*float64(p.From[1]-'0') + float64(p.To[1]-'0')
+	}
+	for _, f := range hosts {
+		for _, to := range hosts {
+			if f == to {
+				continue
+			}
+			p := coord.Path{From: f, To: to}
+			if _, err := st.Put(coord.Record{
+				Path: p, At: time.Now().UnixNano(),
+				Mbps: bwOf(p), LatencyMs: 1.5, Kind: "exact", Quality: 0.9,
+			}); err != nil {
+				t.Fatalf("store put: %v", err)
+			}
+		}
 	}
 
 	var fetched atomic.Pointer[coord.BandwidthMap]
@@ -139,29 +113,6 @@ func TestCoordEndToEnd(t *testing.T) {
 		},
 	}
 	src.run = func() {
-		// Drain the measurement plan: every round's tasks "measure" their
-		// path and store the observation; FollowStore refreshes the
-		// scheduler, so the loop terminates when nothing is stale.
-		for {
-			r, ok := sched.Plan()
-			if !ok {
-				if sched.Outstanding() == 0 && len(sched.Stale()) == 0 {
-					break
-				}
-				time.Sleep(time.Millisecond) // watch delivery in flight
-				continue
-			}
-			for _, task := range r.Tasks {
-				_, err := st.Put(coord.Record{
-					Path: task.Path, At: time.Now().UnixNano(),
-					Mbps: bwOf(task.Path), LatencyMs: 1.5, Kind: "exact", Quality: 0.9,
-				})
-				if err != nil {
-					t.Errorf("store put: %v", err)
-				}
-				sched.Complete(task, nil)
-			}
-		}
 		// Rebuild, publish, and consume the map the way vnetd does: over
 		// the wire, through the parser.
 		m, err := coord.BuildMap(st, time.Now())
@@ -200,12 +151,9 @@ func TestCoordEndToEnd(t *testing.T) {
 			Overlay:  o,
 			Migrator: vnet.MigratorFunc(func(ethernet.MAC, string, string) error { return nil }),
 		},
-		Metrics: control.NewMetrics(reg),
-		Flight:  fr,
-		TraceSink: func(ctx obs.TraceContext) {
-			sched.SetTrace(ctx)
-			pub.SetTrace(ctx)
-		},
+		Metrics:   control.NewMetrics(reg),
+		Flight:    fr,
+		TraceSink: pub.SetTrace,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -218,14 +166,6 @@ func TestCoordEndToEnd(t *testing.T) {
 		t.Fatal("cycle has no trace ID")
 	}
 
-	// Multi-round: six paths, three targets, budget 1 per target — at
-	// least two rounds were necessary, and everything got measured.
-	if sched.Rounds() < 2 {
-		t.Fatalf("scheduler drained six budgeted paths in %d round(s), want a multi-round plan", sched.Rounds())
-	}
-	if got := len(sched.Stale()); got != 0 {
-		t.Fatalf("%d paths still stale after the cycle: %v", got, sched.Stale())
-	}
 	snap, err := st.Scan(coord.Query{})
 	if err != nil {
 		t.Fatal(err)
@@ -277,8 +217,8 @@ func TestCoordEndToEnd(t *testing.T) {
 	}
 
 	// Everything the coordination tier did during the cycle is correlated
-	// under the cycle's trace: the controller's root span, the scheduler's
-	// rounds, and the map publication.
+	// under the cycle's trace: the controller's root span and the map
+	// publication.
 	counts := map[string]int{}
 	for _, e := range fr.Events(0) {
 		if e.Trace == res.Trace {
@@ -287,9 +227,6 @@ func TestCoordEndToEnd(t *testing.T) {
 	}
 	if counts["cycle"] == 0 {
 		t.Error("no cycle span under the trace")
-	}
-	if counts["sched-round"] < 2 {
-		t.Errorf("%d sched-round events under the cycle trace, want the multi-round plan (>=2)", counts["sched-round"])
 	}
 	if counts["map-publish"] != 1 {
 		t.Errorf("%d map-publish events under the cycle trace, want 1", counts["map-publish"])

@@ -26,34 +26,6 @@ func NewStoreMetrics(reg *obs.Registry) StoreMetrics {
 	}
 }
 
-// SchedulerMetrics holds the measurement scheduler's counters and gauges.
-type SchedulerMetrics struct {
-	Rounds     *obs.Counter // coord_sched_rounds_total
-	Probes     *obs.Counter // coord_sched_probes_total
-	Retries    *obs.Counter // coord_sched_retries_total
-	Giveups    *obs.Counter // coord_sched_giveups_total
-	Deferred   *obs.Counter // coord_sched_deferred_total
-	StalePaths *obs.Gauge   // coord_sched_stale_paths
-}
-
-// NewSchedulerMetrics registers the scheduler metrics on reg.
-func NewSchedulerMetrics(reg *obs.Registry) SchedulerMetrics {
-	return SchedulerMetrics{
-		Rounds: reg.Counter("coord_sched_rounds_total",
-			"Measurement rounds planned by the scheduler."),
-		Probes: reg.Counter("coord_sched_probes_total",
-			"Probe tasks issued across all rounds."),
-		Retries: reg.Counter("coord_sched_retries_total",
-			"Probe tasks re-issued after an agent failure, per backoff schedule."),
-		Giveups: reg.Counter("coord_sched_giveups_total",
-			"Paths parked after exhausting their probe attempts."),
-		Deferred: reg.Counter("coord_sched_deferred_total",
-			"Stale demanded paths deferred from a round by the per-target probe budget."),
-		StalePaths: reg.Gauge("coord_sched_stale_paths",
-			"Demanded paths whose freshest observation exceeded StaleAfter at the last plan."),
-	}
-}
-
 // MapMetrics holds the bandwidth-map publisher's counters and gauges.
 type MapMetrics struct {
 	Publishes  *obs.Counter // coord_map_publish_total
@@ -77,7 +49,6 @@ func NewMapMetrics(reg *obs.Registry) MapMetrics {
 // wrenrepod use this).
 type Metrics struct {
 	Store StoreMetrics
-	Sched SchedulerMetrics
 	Map   MapMetrics
 }
 
@@ -85,7 +56,6 @@ type Metrics struct {
 func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Store: NewStoreMetrics(reg),
-		Sched: NewSchedulerMetrics(reg),
 		Map:   NewMapMetrics(reg),
 	}
 }
