@@ -34,8 +34,10 @@ relaybench-baseline:
 		$(GO) run ./cmd/benchgate -out BENCH_RELAY.json
 
 # VTTIF heavy-traffic regression fence: striped Local ingest (vs the
-# single-mutex baseline), the 1M-flow sketched matrix update, the
-# exact-mode steady state, and the incremental warm/full solver, gated
+# single-mutex baseline), the aggregator's 1M-flow report above its pair
+# cap (sketch on; Shipped1M, at the shipped cap, has no baseline entry
+# yet and is printed only), its steady state below the cap (exact table,
+# no sketch), and the incremental warm/full solver, gated
 # against the committed BENCH_VTTIF.json. ns/op gates at 30% (the matrix
 # benches are memory-bound and noisier than the relay fast path) and
 # allocs at-or-below baseline; the committed baseline carries alloc
@@ -89,7 +91,7 @@ vet:
 
 # Non-test Go lines per package and in total, over tracked files, with the
 # benchmark harness (cmd/meshbench, internal/bench) left out. ROADMAP item
-# 3 asks every consolidation PR to quote this before and after in
+# 4 asks every consolidation PR to quote this before and after in
 # CHANGES.md.
 loc:
 	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^internal/bench/\|^cmd/meshbench/' | \

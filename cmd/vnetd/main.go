@@ -55,10 +55,6 @@ func main() {
 		estFuse  = flag.Duration("est-fusion", 0, "fuse active probe estimates into the controller's view when passive measurements are older than this; one probe train in flight at the hub, each peer probed at most once per interval (0 = passive only; requires -controller)")
 		mapURL   = flag.String("map-url", "", "wrenrepod base URL to fetch the published bandwidth map from; fills controller estimates the live view lacks (requires -controller)")
 		mapEvery = flag.Duration("map-fetch", 2*time.Second, "bandwidth map fetch interval (requires -map-url)")
-		sketch   = flag.Bool("vttif-sketch", false, "hub only: aggregate the traffic matrix with a count-min sketch plus exact top-k heavy edges (bounded memory under heavy traffic)")
-		sketchW  = flag.Int("vttif-sketch-width", 0, "count-min sketch width in counters per row (0 = default 4096; requires -vttif-sketch)")
-		sketchD  = flag.Int("vttif-sketch-depth", 0, "count-min sketch depth in rows (0 = default 4; requires -vttif-sketch)")
-		topK     = flag.Int("vttif-topk", 0, "exact heavy-edge slots retained beside the sketch (0 = default 512; requires -vttif-sketch)")
 	)
 	flag.Parse()
 	if *name == "" {
@@ -268,22 +264,12 @@ func main() {
 
 	var view *vnet.GlobalView
 	if *hub || *ctrl {
-		vcfg := vttif.Config{
-			Sketched:    *sketch,
-			SketchWidth: *sketchW,
-			SketchDepth: *sketchD,
-			TopK:        *topK,
-		}
-		view = vnet.NewGlobalView(vcfg)
+		view = vnet.NewGlobalView(vttif.Config{})
 		if reg != nil {
 			view.Agg.SetMetrics(vttif.NewAggregatorMetrics(reg), reg)
 		}
 		d.SetControlHandler(view.HandleControl)
-		mode := "exact"
-		if *sketch {
-			mode = "sketched"
-		}
-		logger.Info("acting as control hub", "aggregation", mode)
+		logger.Info("acting as control hub")
 	}
 	if *report > 0 {
 		if *deflt == "" && ringNames == nil {

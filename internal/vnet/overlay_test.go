@@ -2,6 +2,7 @@ package vnet
 
 import (
 	"encoding/json"
+	"maps"
 	"slices"
 	"testing"
 	"time"
@@ -70,6 +71,27 @@ func TestGlobalViewVTTIFAggregation(t *testing.T) {
 	waitFor(t, "vttif push", func() bool {
 		return o.View.Agg.Rates()[vttif.Pair{Src: src, Dst: dst}] > 0
 	})
+}
+
+// TestGlobalViewDropsTinyIntervalReport: a peer's report whose interval
+// turns bytes into an infinite rate is dropped whole, so it cannot pin an
+// edge at +Inf and crowd every real edge out of the topology.
+func TestGlobalViewDropsTinyIntervalReport(t *testing.T) {
+	view := NewGlobalView(vttif.Config{Alpha: 1, HoldUpdates: 1})
+	src, dst := macToHex(vmMAC(1)), macToHex(vmMAC(2))
+	report := func(interval string) []byte {
+		return []byte(`{"kind":"vttif","intervalSec":` + interval +
+			`,"pairs":[{"src":"` + src + `","dst":"` + dst + `","bytes":1000}]}`)
+	}
+	view.HandleControl("h1", report("1"))
+	before := view.Agg.Rates()
+	if len(before) != 1 {
+		t.Fatalf("valid report gave rates %v", before)
+	}
+	view.HandleControl("h2", report("1e-308"))
+	if got := view.Agg.Rates(); !maps.Equal(got, before) {
+		t.Fatalf("tiny-interval report changed rates: %v -> %v", before, got)
+	}
 }
 
 func TestGlobalViewWrenPush(t *testing.T) {

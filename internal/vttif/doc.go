@@ -8,6 +8,13 @@
 // only after it persists across several updates (the paper's smoothing
 // interval and detection threshold).
 //
+// The Aggregator holds every pair's smoothed rate exactly in one table up
+// to a fixed pair cap. The first report that would exceed the cap starts a
+// count-min sketch, seeded with the table's mass, and from then on the
+// table keeps only the heavy edges (space-saving admission against the
+// sketch): hub memory stays bounded under any flow count, and below the
+// cap the sketch never exists (sketch.go).
+//
 // LocalMetrics and AggregatorMetrics (metrics.go) export classification
 // and inference counters via internal/obs; uninstrumented instances pay
 // nothing.

@@ -50,7 +50,7 @@ func NewAggregatorMetrics(reg *obs.Registry) AggregatorMetrics {
 		PairsPruned: reg.Counter("vttif_pairs_pruned_total",
 			"Matrix entries dropped after decaying below the keep threshold."),
 		BadIntervals: reg.Counter("vttif_bad_interval_reports_total",
-			"Daemon reports rejected for a non-positive interval."),
+			"Daemon reports rejected because their interval gives no finite rate (non-positive, non-finite, or so small a byte count overflows)."),
 		RefreshesSkipped: reg.Counter("vttif_topology_refreshes_skipped_total",
 			"Topology rebuilds skipped by the dirty check (no threshold-relevant change)."),
 		DeltasEmitted: reg.Counter("vttif_deltas_emitted_total",
@@ -58,7 +58,7 @@ func NewAggregatorMetrics(reg *obs.Registry) AggregatorMetrics {
 		DeltaOverflows: reg.Counter("vttif_delta_overflows_total",
 			"Delta queue overflows forcing consumers to resynchronize."),
 		SketchEvictions: reg.Counter("vttif_sketch_evictions_total",
-			"Heavy-hitter entries evicted by space-saving admission (sketched mode)."),
+			"Retained pairs evicted by space-saving admission (only after the pair table first exceeds its cap and the sketch starts)."),
 	}
 }
 
@@ -69,10 +69,10 @@ func (a *Aggregator) SetMetrics(m AggregatorMetrics, reg *obs.Registry) {
 	a.met = m
 	a.mu.Unlock()
 	reg.GaugeFunc("vttif_pairs_active",
-		"VM pairs exactly tracked in the smoothed traffic matrix (top-k in sketched mode).",
+		"VM pairs exactly tracked in the smoothed traffic matrix (at most the pair cap; past it, the retained heavy edges).",
 		func() float64 {
 			a.mu.Lock()
 			defer a.mu.Unlock()
-			return float64(a.pairCountLocked())
+			return float64(len(a.rates))
 		})
 }

@@ -1,8 +1,8 @@
 package vttif
 
-// Bounded-memory streaming state for the sketched aggregation mode: a
-// count-min sketch holding (aged) rate mass for every pair ever seen, fused
-// with a space-saving top-k table that retains the heavy edges exactly.
+// Bounded-memory state the Aggregator starts once its exact table fills: a
+// count-min sketch holding (aged) rate mass for every pair seen since,
+// beside the table, which then retains only the heavy edges exactly.
 //
 // Error bounds (see DESIGN.md §9 for the derivation):
 //
@@ -10,10 +10,9 @@ package vttif
 //     estimate ≥ true aged mass, and with probability ≥ 1 − (1/2)^depth the
 //     overshoot is at most (e/width) × total aged mass. Uniformly scaling
 //     the sketch (aging) preserves both properties.
-//   - space-saving retains every pair whose smoothed rate exceeds
-//     (total smoothed mass)/k, and each entry's rate overshoots its true
-//     smoothed rate by at most its recorded err (the evicted minimum it
-//     inherited at admission).
+//   - space-saving admission then retains every pair whose smoothed rate
+//     exceeds (total smoothed mass)/maxPairs; an admitted entry overshoots
+//     its true smoothed rate by at most the evicted minimum it inherited.
 
 // pairHash is FNV-1a over the 12 MAC bytes of the pair — the shared hash
 // for Local striping and the sketch row derivation.
@@ -103,75 +102,67 @@ func (c *countMin) scale(gamma float64) {
 	}
 }
 
-// tkEntry is one exactly-tracked heavy edge.
-type tkEntry struct {
-	rate  float64 // smoothed bytes/sec (EWMA, same semantics as exact mode)
-	err   float64 // admission error bound: the evicted minimum inherited
-	owner string  // reporting daemon, for decay-on-omission
+// rateHeap is a lazy binary min-heap of (pair, rate) entries over the
+// retained table. Every rate change pushes an entry; an entry whose rate
+// no longer matches the table is stale and is dropped when it reaches the
+// root. So admission reads the lightest edge in amortized O(1), and a
+// rate change or eviction costs O(log maxPairs) slice moves and no map
+// writes. Rebuilding from the table at twice the cap bounds its memory.
+type rateHeap []rateItem
+
+type rateItem struct {
+	p Pair
+	r float64
 }
 
-// topK is a space-saving heavy-hitter table over smoothed rates. The
-// minimum entry is cached so the admission test on a cold pair is O(1);
-// the cache is rebuilt lazily (O(k)) only after the minimum is disturbed.
-type topK struct {
-	entries  map[Pair]*tkEntry
-	minPair  Pair
-	minValid bool
-}
-
-func newTopK(k int) *topK {
-	return &topK{entries: make(map[Pair]*tkEntry, k)}
-}
-
-func (t *topK) min() (Pair, *tkEntry) {
-	if t.minValid {
-		if e, ok := t.entries[t.minPair]; ok {
-			return t.minPair, e
+// min returns the lightest retained pair and its rate, dropping stale
+// entries on the way. The table must not be empty.
+func (h *rateHeap) min(rates map[Pair]float64) (Pair, float64) {
+	for {
+		it := (*h)[0]
+		if r, ok := rates[it.p]; ok && r == it.r {
+			return it.p, it.r
 		}
+		last := len(*h) - 1
+		(*h)[0] = (*h)[last]
+		*h = (*h)[:last]
+		h.down(0)
 	}
-	var minP Pair
-	var minE *tkEntry
-	for p, e := range t.entries {
-		if minE == nil || e.rate < minE.rate {
-			minP, minE = p, e
+}
+
+func (h *rateHeap) push(p Pair, r float64) {
+	*h = append(*h, rateItem{p, r})
+	h.up(len(*h) - 1)
+}
+
+// replaceMin swaps the root entry, just returned by min, for p at rate r.
+func (h *rateHeap) replaceMin(p Pair, r float64) {
+	(*h)[0] = rateItem{p, r}
+	h.down(0)
+}
+
+// rebuild replaces every entry with one live entry per retained pair.
+func (h *rateHeap) rebuild(rates map[Pair]float64) {
+	*h = (*h)[:0]
+	for p, r := range rates {
+		h.push(p, r)
+	}
+}
+
+func (h rateHeap) up(i int) {
+	for p := (i - 1) / 2; i > 0 && h[i].r < h[p].r; i, p = p, (p-1)/2 {
+		h[i], h[p] = h[p], h[i]
+	}
+}
+
+func (h rateHeap) down(i int) {
+	for c := 2*i + 1; c < len(h); i, c = c, 2*c+1 {
+		if c+1 < len(h) && h[c+1].r < h[c].r {
+			c++
 		}
-	}
-	t.minPair, t.minValid = minP, minE != nil
-	return minP, minE
-}
-
-func (t *topK) insert(p Pair, e *tkEntry) {
-	t.entries[p] = e
-	if t.minValid {
-		if me, ok := t.entries[t.minPair]; !ok {
-			t.minValid = false
-		} else if e.rate < me.rate {
-			t.minPair = p
+		if h[i].r <= h[c].r {
+			return
 		}
-	}
-}
-
-func (t *topK) remove(p Pair) {
-	delete(t.entries, p)
-	if p == t.minPair {
-		t.minValid = false
-	}
-}
-
-// touched re-validates the min cache after entry e (keyed p) changed rate.
-func (t *topK) touched(p Pair, e *tkEntry) {
-	if !t.minValid {
-		return
-	}
-	me, ok := t.entries[t.minPair]
-	if !ok {
-		t.minValid = false
-		return
-	}
-	if e.rate < me.rate {
-		t.minPair = p
-	} else if p == t.minPair {
-		// The cached minimum grew; something else may be smaller now.
-		t.minValid = false
+		h[i], h[c] = h[c], h[i]
 	}
 }

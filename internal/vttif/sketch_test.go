@@ -1,6 +1,7 @@
 package vttif
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -54,15 +55,8 @@ func TestCountMinOverestimateOnly(t *testing.T) {
 func TestTopKRetainsHeavyEdges(t *testing.T) {
 	for _, seed := range []int64{1, 9, 77} {
 		rng := rand.New(rand.NewSource(seed))
-		a := NewAggregator(Config{
-			Alpha:         0.5,
-			PruneFraction: 0.1,
-			HoldUpdates:   1,
-			Sketched:      true,
-			SketchWidth:   2048,
-			SketchDepth:   4,
-			TopK:          64,
-		})
+		a := NewAggregator(Config{Alpha: 0.5, PruneFraction: 0.1, HoldUpdates: 1})
+		a.maxPairs = 64
 		// 16 heavy edges at ~1e6 B/s, plus 2000 random light pairs per
 		// round drawn from a huge population at ≤1e3 B/s.
 		heavy := make(map[Pair]uint64)
@@ -109,11 +103,12 @@ func TestTopKRetainsHeavyEdges(t *testing.T) {
 	}
 }
 
-// TestSketchedBoundedState feeds far more distinct pairs than the sketch
-// retains and asserts the exact state stays O(k): the memory contract of
-// sketched mode.
+// TestSketchedBoundedState feeds far more distinct pairs than the table
+// retains and asserts the exact state stays at the pair cap: the memory
+// contract past the cap.
 func TestSketchedBoundedState(t *testing.T) {
-	a := NewAggregator(Config{Sketched: true, TopK: 32, SketchWidth: 512, SketchDepth: 3})
+	a := NewAggregator(Config{})
+	a.maxPairs = 32
 	rng := rand.New(rand.NewSource(5))
 	for round := 0; round < 20; round++ {
 		local := make(map[Pair]uint64, 5000)
@@ -123,52 +118,29 @@ func TestSketchedBoundedState(t *testing.T) {
 		if err := a.Update("d1", local, 1); err != nil {
 			t.Fatal(err)
 		}
-		if n := len(a.topk.entries); n > 32 {
-			t.Fatalf("round %d: topk grew to %d entries", round, n)
+		if n := len(a.rates); n > 32 {
+			t.Fatalf("round %d: table grew to %d entries", round, n)
 		}
 		if n := len(a.emitted); n > 32 {
 			t.Fatalf("round %d: emitted map grew to %d entries", round, n)
 		}
+		checkRateHeap(t, a)
 	}
 	if n := len(a.Rates()); n > 32 {
-		t.Fatalf("Rates() returned %d entries in sketched mode", n)
-	}
-}
-
-// TestSketchedHeavyHittersAndEstimate checks the reporting surfaces: err
-// bounds on entries admitted into free slots are zero (their EWMA is
-// exact), EstimateRate matches retained rates and never underestimates
-// unretained pairs.
-func TestSketchedHeavyHittersAndEstimate(t *testing.T) {
-	a := NewAggregator(Config{Alpha: 0.5, Sketched: true, TopK: 8})
-	p := Pair{m1, m2}
-	if err := a.Update("d1", map[Pair]uint64{p: 1000}, 1); err != nil {
-		t.Fatal(err)
-	}
-	if got := a.EstimateRate(p); got != 500 {
-		t.Fatalf("retained estimate = %v, want exact EWMA 500", got)
-	}
-	hh := a.HeavyHitters()
-	if len(hh) != 1 || hh[0].Pair != p || hh[0].Err != 0 {
-		t.Fatalf("heavy hitters = %+v", hh)
-	}
-	// An unretained pair's estimate comes from the sketch: ≥ 0 and never
-	// below its true smoothed rate (0 here, since it was never reported).
-	if got := a.EstimateRate(Pair{m2, m3}); got < 0 {
-		t.Fatalf("estimate = %v", got)
-	}
-	// Exact mode returns nil heavy hitters.
-	if NewAggregator(Config{}).HeavyHitters() != nil {
-		t.Fatal("exact mode returned heavy hitters")
+		t.Fatalf("Rates() returned %d entries past the cap", n)
 	}
 }
 
 // TestSketchedDecayOnOmission mirrors TestAggregatorDecayOnOmission for
-// the retained set.
+// the retained set after the sketch has started.
 func TestSketchedDecayOnOmission(t *testing.T) {
-	a := NewAggregator(Config{Alpha: 0.5, Sketched: true, TopK: 8})
-	p := Pair{m1, m2}
-	a.Update("d1", map[Pair]uint64{p: 1000}, 1)
+	a := NewAggregator(Config{Alpha: 0.5})
+	a.maxPairs = 1
+	p, light := Pair{m1, m2}, Pair{m3, m1}
+	a.Update("d1", map[Pair]uint64{p: 1000, light: 1}, 1)
+	if a.cms == nil {
+		t.Fatal("sketch never started")
+	}
 	before := a.Rates()[p]
 	a.Update("d1", map[Pair]uint64{}, 1)
 	after := a.Rates()[p]
@@ -182,9 +154,43 @@ func TestSketchedDecayOnOmission(t *testing.T) {
 	}
 	for i := 0; i < 40; i++ {
 		a.Update("d1", map[Pair]uint64{}, 1)
+		checkRateHeap(t, a)
 	}
 	if _, ok := a.Rates()[p]; ok {
 		t.Fatal("pair never deleted after sustained omission")
+	}
+}
+
+// checkRateHeap asserts that once the sketch is on, the admission heap
+// is in heap order, bounded by twice the cap, holds a live entry for
+// every retained pair, and yields the true lightest retained rate.
+func checkRateHeap(t *testing.T, a *Aggregator) {
+	t.Helper()
+	if a.cms == nil || len(a.rates) == 0 {
+		return
+	}
+	h := a.byRate
+	if len(h) > 2*a.maxPairs {
+		t.Fatalf("heap holds %d entries for a cap of %d", len(h), a.maxPairs)
+	}
+	live := make(map[Pair]bool)
+	for i, it := range h {
+		if i > 0 && h[(i-1)/2].r > it.r {
+			t.Fatalf("heap order broken at slot %d", i)
+		}
+		if r, ok := a.rates[it.p]; ok && r == it.r {
+			live[it.p] = true
+		}
+	}
+	if len(live) != len(a.rates) {
+		t.Fatalf("%d of %d retained pairs have a live heap entry", len(live), len(a.rates))
+	}
+	want := math.Inf(1)
+	for _, r := range a.rates {
+		want = min(want, r)
+	}
+	if _, got := a.byRate.min(a.rates); got != want {
+		t.Fatalf("heap minimum %v, table minimum %v", got, want)
 	}
 }
 

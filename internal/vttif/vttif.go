@@ -95,23 +95,6 @@ type Config struct {
 	// persist before it replaces the reported one (default 3) — the
 	// anti-oscillation damping of the paper's earlier work.
 	HoldUpdates int
-
-	// Sketched selects the bounded-memory aggregation mode: a count-min
-	// sketch estimates every pair's rate mass while a space-saving top-k
-	// table retains the heavy edges exactly. Memory is O(k + width·depth)
-	// regardless of flow count; light pairs are only approximate. Leave
-	// false (exact mode) when the pair population is small enough to hold.
-	Sketched bool
-	// SketchWidth is the count-min width (default 4096). The estimate
-	// overshoot is bounded by (e/width)·total mass w.h.p.
-	SketchWidth int
-	// SketchDepth is the count-min depth (default 4). The overshoot bound
-	// fails with probability ≤ (1/2)^depth.
-	SketchDepth int
-	// TopK is how many heavy edges the space-saving table retains exactly
-	// (default 512). Every edge above (total mass)/k stays retained.
-	TopK int
-
 	// DeltaRateFraction is the relative change in a pair's smoothed rate
 	// that triggers a DeltaRate emission (default 0.25).
 	DeltaRateFraction float64
@@ -131,15 +114,6 @@ func (c Config) withDefaults() Config {
 	if c.HoldUpdates == 0 {
 		c.HoldUpdates = 3
 	}
-	if c.SketchWidth == 0 {
-		c.SketchWidth = 4096
-	}
-	if c.SketchDepth == 0 {
-		c.SketchDepth = 4
-	}
-	if c.TopK == 0 {
-		c.TopK = 512
-	}
 	if c.DeltaRateFraction == 0 {
 		c.DeltaRateFraction = 0.25
 	}
@@ -149,23 +123,37 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
+// The aggregator holds at most maxPairs pairs exactly. When a report first
+// brings one more, it starts a sketchWidth×sketchDepth count-min sketch
+// and from then on keeps only the heaviest maxPairs edges exact.
+const (
+	maxPairs    = 1 << 14
+	sketchWidth = 4096
+	sketchDepth = 4
+)
+
 // Aggregator runs at the Proxy: it fuses the daemons' local matrices into
 // the global smoothed traffic matrix and the damped application topology.
-// In exact mode every pair's smoothed rate is held in a map; in sketched
-// mode (Config.Sketched) only the top-k heavy edges are exact and the rest
-// live in a count-min sketch.
+// Every pair's smoothed rate is held exactly until the table holds
+// maxPairs pairs. Past that a count-min sketch absorbs every pair's rate
+// mass and the table becomes a space-saving heavy-edge set: a cold pair
+// displaces the lightest retained edge only when its sketch estimate
+// beats it. Memory stays O(maxPairs + sketch) whatever the flow count;
+// a report costs O(its pairs × log maxPairs).
 type Aggregator struct {
 	mu  sync.Mutex
 	cfg Config
 
-	// Exact mode.
-	rates map[Pair]float64 // smoothed bytes/sec
-	owner map[Pair]string  // which daemon reports each pair
+	rates     map[Pair]float64 // smoothed bytes/sec
+	owner     map[Pair]string  // which daemon reports each pair
+	reporters map[string]bool  // distinct daemons seen, for sketch aging
 
-	// Sketched mode.
-	cms       *countMin
-	topk      *topK
-	reporters map[string]bool // distinct daemons seen, for sketch aging
+	// maxPairs is the table cap: the package constant, lowered by tests
+	// to cross it at small sizes. cms and byRate are nil until the table
+	// first overflows; byRate orders the retained pairs for admission.
+	maxPairs int
+	cms      *countMin
+	byRate   rateHeap
 
 	reported     map[Pair]bool // last reported (damped) topology
 	pending      map[Pair]bool
@@ -190,54 +178,67 @@ type Aggregator struct {
 
 // NewAggregator returns an empty aggregator.
 func NewAggregator(cfg Config) *Aggregator {
-	a := &Aggregator{
-		cfg:      cfg.withDefaults(),
-		reported: make(map[Pair]bool),
-		emitted:  make(map[Pair]float64),
+	return &Aggregator{
+		cfg:       cfg.withDefaults(),
+		rates:     make(map[Pair]float64),
+		owner:     make(map[Pair]string),
+		reporters: make(map[string]bool),
+		maxPairs:  maxPairs,
+		reported:  make(map[Pair]bool),
+		emitted:   make(map[Pair]float64),
 	}
-	if a.cfg.Sketched {
-		a.cms = newCountMin(a.cfg.SketchWidth, a.cfg.SketchDepth)
-		a.topk = newTopK(a.cfg.TopK)
-		a.reporters = make(map[string]bool)
-	} else {
-		a.rates = make(map[Pair]float64)
-		a.owner = make(map[Pair]string)
-	}
-	return a
 }
 
 // Update fuses one daemon's local matrix covering intervalSec seconds.
 // Pairs this daemon reported before but omitted now decay toward zero. A
-// non-positive interval is rejected with an error (and counted) instead of
-// panicking, so one misbehaving daemon report cannot take down the proxy.
+// report whose interval is not a positive finite number, or so small that
+// some pair's rate overflows, is rejected whole with an error (and
+// counted): one misbehaving daemon can neither take down the proxy nor
+// leave an infinite rate that never decays.
 func (a *Aggregator) Update(from string, local map[Pair]uint64, intervalSec float64) error {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	if intervalSec <= 0 {
+	if !finiteRates(local, intervalSec) {
 		a.met.BadIntervals.Inc()
-		return fmt.Errorf("vttif: non-positive interval %v in report from %q", intervalSec, from)
+		return fmt.Errorf("vttif: interval %v in report from %q gives no finite rate", intervalSec, from)
 	}
-	if a.cfg.Sketched {
-		a.updateSketchedLocked(from, local, intervalSec)
-	} else {
-		a.updateExactLocked(from, local, intervalSec)
-	}
+	a.updateLocked(from, local, intervalSec)
 	a.updates++
 	a.met.MatrixUpdates.Inc()
 	a.refreshTopologyLocked()
 	return nil
 }
 
-func (a *Aggregator) updateExactLocked(from string, local map[Pair]uint64, intervalSec float64) {
+// updateLocked is the one update path: the exact EWMA for every pair the
+// table holds or has room for, sketch admission for the rest.
+func (a *Aggregator) updateLocked(from string, local map[Pair]uint64, intervalSec float64) {
 	alpha := a.cfg.Alpha
+	a.reporters[from] = true
+	if a.cms != nil {
+		// The sketch holds raw per-report rates aged geometrically, so a
+		// steady rate r converges to mass r/alpha. Aging is spread across
+		// reporters: with R daemons each Update scales by (1−alpha)^(1/R),
+		// so one full round ages by (1−alpha), as the EWMA does.
+		a.cms.scale(math.Pow(1-alpha, 1/float64(len(a.reporters))))
+	}
 	for p, b := range local {
 		rate := float64(b) / intervalSec
-		old := a.rates[p]
+		old, held := a.rates[p]
+		if !held && len(a.rates) >= a.maxPairs {
+			a.admitLocked(p, rate, from)
+			continue
+		}
 		next := alpha*rate + (1-alpha)*old
+		if a.cms != nil {
+			a.cms.add(p, rate)
+			a.pushRateLocked(p, next)
+		}
 		a.rates[p] = next
 		a.owner[p] = from
 		a.noteRateLocked(p, old, next)
 	}
+	// Decay-on-omission covers the retained pairs; pairs held only in the
+	// sketch age through its scaling above.
 	for p, o := range a.owner {
 		if o != from {
 			continue
@@ -248,110 +249,91 @@ func (a *Aggregator) updateExactLocked(from string, local map[Pair]uint64, inter
 		old := a.rates[p]
 		next := old * (1 - alpha)
 		if next < 1 { // below 1 byte/s: gone
-			delete(a.rates, p)
-			delete(a.owner, p)
+			a.dropLocked(p)
 			a.met.PairsPruned.Inc()
 			a.noteRateLocked(p, old, 0)
 		} else {
 			a.rates[p] = next
+			if a.cms != nil {
+				a.pushRateLocked(p, next)
+			}
 			a.noteRateLocked(p, old, next)
 		}
 	}
 }
 
-// updateSketchedLocked is the bounded-memory twin of updateExactLocked.
-// The sketch accumulates raw per-report rates and is aged geometrically so
-// that, for a steady rate r, its mass converges to r/alpha — making
-// alpha·estimate comparable to the exact mode's smoothed rate. Aging is
-// spread across reporters: with R daemons reporting each period, each
-// Update scales by (1−alpha)^(1/R) so one full round ages by (1−alpha).
-func (a *Aggregator) updateSketchedLocked(from string, local map[Pair]uint64, intervalSec float64) {
+// finiteRates reports whether intervalSec is positive and finite and turns
+// every byte count in local into a finite rate. A byte count is below
+// 2^64, so an interval of at least 1e-280 s keeps every rate under 2e299
+// and only a smaller one needs the per-pair check.
+func finiteRates(local map[Pair]uint64, intervalSec float64) bool {
+	if !(intervalSec > 0) || math.IsInf(intervalSec, 1) {
+		return false
+	}
+	if intervalSec >= 1e-280 {
+		return true
+	}
+	for _, b := range local {
+		if math.IsInf(float64(b)/intervalSec, 1) {
+			return false
+		}
+	}
+	return true
+}
+
+// startSketchLocked starts the count-min sketch when the table first
+// overflows, seeding it with each retained pair's mass rate/alpha so that
+// alpha·estimate starts at or above every retained pair's smoothed rate,
+// and orders the retained pairs by rate for admission.
+func (a *Aggregator) startSketchLocked() {
+	a.cms = newCountMin(sketchWidth, sketchDepth)
+	a.byRate = make(rateHeap, 0, 2*a.maxPairs)
+	a.byRate.rebuild(a.rates)
+	for p, r := range a.rates {
+		a.cms.add(p, r/a.cfg.Alpha)
+	}
+}
+
+// admitLocked handles a reported pair the full table does not hold,
+// starting the sketch if this is the first. It adds the pair's rate to the
+// sketch and runs the space-saving admission test: alpha times the sketch
+// estimate — an overestimate of the pair's smoothed rate — must beat the
+// lightest retained edge, which the pair then displaces. The admitted pair
+// starts from the evicted minimum plus its own contribution, capped by the
+// estimate. Finding and replacing the minimum costs O(log maxPairs).
+func (a *Aggregator) admitLocked(p Pair, rate float64, from string) {
+	if a.cms == nil {
+		a.startSketchLocked()
+	}
 	alpha := a.cfg.Alpha
-	a.reporters[from] = true
-	gamma := math.Pow(1-alpha, 1/float64(len(a.reporters)))
-	a.cms.scale(gamma)
-	for p, b := range local {
-		rate := float64(b) / intervalSec
-		est := a.cms.add(p, rate)
-		if e, ok := a.topk.entries[p]; ok {
-			old := e.rate
-			e.rate = alpha*rate + (1-alpha)*old
-			e.owner = from
-			a.topk.touched(p, e)
-			a.noteRateLocked(p, old, e.rate)
-			continue
-		}
-		a.offerLocked(p, rate, alpha*est, from)
-	}
-	// Decay-on-omission applies to the retained edges only: pairs that
-	// exist solely in the sketch age through the global scaling above.
-	for p, e := range a.topk.entries {
-		if e.owner != from {
-			continue
-		}
-		if _, ok := local[p]; ok {
-			continue
-		}
-		old := e.rate
-		next := old * (1 - alpha)
-		if next < 1 { // below 1 byte/s: gone
-			a.topk.remove(p)
-			a.met.PairsPruned.Inc()
-			a.noteRateLocked(p, old, 0)
-		} else {
-			e.rate = next
-			a.topk.touched(p, e)
-			a.noteRateLocked(p, old, next)
-		}
-	}
-}
-
-// offerLocked runs the space-saving admission test for a pair not currently
-// retained. estRate is alpha times the sketch estimate — an overestimate of
-// the pair's smoothed rate — and the pair displaces the minimum retained
-// entry only when that overestimate beats it. The admitted entry inherits
-// the evicted minimum as both rate floor and recorded error bound.
-func (a *Aggregator) offerLocked(p Pair, obsRate, estRate float64, from string) {
-	if len(a.topk.entries) < a.cfg.TopK {
-		e := &tkEntry{rate: a.cfg.Alpha * obsRate, owner: from}
-		a.topk.insert(p, e)
-		a.noteRateLocked(p, 0, e.rate)
+	estRate := alpha * a.cms.add(p, rate)
+	minP, minRate := a.byRate.min(a.rates)
+	if estRate <= minRate {
 		return
 	}
-	minP, minE := a.topk.min()
-	if minE == nil || estRate <= minE.rate {
-		return
-	}
-	a.topk.remove(minP)
+	a.dropLocked(minP)
 	a.met.SketchEvictions.Inc()
-	a.noteRateLocked(minP, minE.rate, 0)
-	seed := minE.rate + a.cfg.Alpha*obsRate
-	if estRate < seed {
-		seed = estRate
-	}
-	e := &tkEntry{rate: seed, err: minE.rate, owner: from}
-	a.topk.insert(p, e)
+	a.noteRateLocked(minP, minRate, 0)
+	seed := min(minRate+alpha*rate, estRate)
+	a.rates[p] = seed
+	a.owner[p] = from
+	a.byRate.replaceMin(p, seed)
 	a.noteRateLocked(p, 0, seed)
 }
 
-// forEachRateLocked visits every exactly-tracked pair and its smoothed rate.
-func (a *Aggregator) forEachRateLocked(fn func(Pair, float64)) {
-	if a.cfg.Sketched {
-		for p, e := range a.topk.entries {
-			fn(p, e.rate)
-		}
-		return
+// pushRateLocked records retained pair p's new rate r in the admission
+// heap, first rebuilding the heap from the table once stale entries have
+// doubled it.
+func (a *Aggregator) pushRateLocked(p Pair, r float64) {
+	if len(a.byRate) >= 2*a.maxPairs {
+		a.byRate.rebuild(a.rates)
 	}
-	for p, r := range a.rates {
-		fn(p, r)
-	}
+	a.byRate.push(p, r)
 }
 
-func (a *Aggregator) pairCountLocked() int {
-	if a.cfg.Sketched {
-		return len(a.topk.entries)
-	}
-	return len(a.rates)
+func (a *Aggregator) dropLocked(p Pair) {
+	delete(a.rates, p)
+	delete(a.owner, p)
 }
 
 // rawTopologyLocked prunes the smoothed matrix by PruneFraction of its max,
@@ -359,19 +341,19 @@ func (a *Aggregator) pairCountLocked() int {
 func (a *Aggregator) rawTopologyLocked() map[Pair]bool {
 	max := 0.0
 	var maxPair Pair
-	a.forEachRateLocked(func(p Pair, r float64) {
+	for p, r := range a.rates {
 		if r > max {
 			max, maxPair = r, p
 		}
-	})
+	}
 	topo := make(map[Pair]bool)
 	threshold := max * a.cfg.PruneFraction
 	if max > 0 {
-		a.forEachRateLocked(func(p Pair, r float64) {
+		for p, r := range a.rates {
 			if r >= threshold {
 				topo[p] = true
 			}
-		})
+		}
 	}
 	a.topoMax, a.topoMaxPair, a.topoThreshold = max, maxPair, threshold
 	a.topoValid, a.topoDirty = true, false
@@ -419,7 +401,7 @@ func (a *Aggregator) refreshTopologyLocked() {
 		a.met.TopologyChanges.Inc()
 		for p := range a.reported {
 			if !prev[p] {
-				a.emitDeltaLocked(Delta{Kind: DeltaEdgeUp, Pair: p, Rate: a.rateOfLocked(p)})
+				a.emitDeltaLocked(Delta{Kind: DeltaEdgeUp, Pair: p, Rate: a.rates[p]})
 			}
 		}
 		for p := range prev {
@@ -430,78 +412,17 @@ func (a *Aggregator) refreshTopologyLocked() {
 	}
 }
 
-func (a *Aggregator) rateOfLocked(p Pair) float64 {
-	if a.cfg.Sketched {
-		if e, ok := a.topk.entries[p]; ok {
-			return e.rate
-		}
-		return 0
-	}
-	return a.rates[p]
-}
-
 // Rates returns a copy of the smoothed global traffic matrix (bytes/sec).
-// In sketched mode this is the retained heavy-hitter set — at most TopK
-// entries; light pairs are only reachable through EstimateRate.
+// Once the table has filled this is the retained heavy-edge set — at most
+// maxPairs entries; the light pairs live only in the sketch.
 func (a *Aggregator) Rates() map[Pair]float64 {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make(map[Pair]float64, a.pairCountLocked())
-	a.forEachRateLocked(func(p Pair, r float64) {
+	out := make(map[Pair]float64, len(a.rates))
+	for p, r := range a.rates {
 		out[p] = r
-	})
+	}
 	return out
-}
-
-// EstimateRate returns the aggregator's belief about one pair's smoothed
-// rate. Exactly tracked pairs return their EWMA; in sketched mode an
-// unretained pair falls back to alpha times the count-min estimate, which
-// never underestimates.
-func (a *Aggregator) EstimateRate(p Pair) float64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.cfg.Sketched {
-		return a.rates[p]
-	}
-	if e, ok := a.topk.entries[p]; ok {
-		return e.rate
-	}
-	return a.cfg.Alpha * a.cms.estimate(p)
-}
-
-// HeavyHitter is one exactly retained edge of the sketched aggregator.
-type HeavyHitter struct {
-	Pair Pair
-	Rate float64 // smoothed bytes/sec (overestimates by at most Err)
-	Err  float64 // admission error bound inherited at eviction time
-}
-
-// HeavyHitters lists the retained edges in descending rate order. It
-// returns nil in exact mode.
-func (a *Aggregator) HeavyHitters() []HeavyHitter {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if !a.cfg.Sketched {
-		return nil
-	}
-	out := make([]HeavyHitter, 0, len(a.topk.entries))
-	for p, e := range a.topk.entries {
-		out = append(out, HeavyHitter{Pair: p, Rate: e.rate, Err: e.err})
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Rate != out[j].Rate {
-			return out[i].Rate > out[j].Rate
-		}
-		return lessPair(out[i].Pair, out[j].Pair)
-	})
-	return out
-}
-
-func lessPair(a, b Pair) bool {
-	if c := bytes.Compare(a.Src[:], b.Src[:]); c != 0 {
-		return c < 0
-	}
-	return bytes.Compare(a.Dst[:], b.Dst[:]) < 0
 }
 
 // Topology returns the damped, pruned application topology.
@@ -537,10 +458,10 @@ func (a *Aggregator) VMs() []ethernet.MAC {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	set := make(map[ethernet.MAC]bool)
-	a.forEachRateLocked(func(p Pair, _ float64) {
+	for p := range a.rates {
 		set[p.Src] = true
 		set[p.Dst] = true
-	})
+	}
 	out := make([]ethernet.MAC, 0, len(set))
 	for m := range set {
 		out = append(out, m)
@@ -564,7 +485,7 @@ func (a *Aggregator) Matrix(order []ethernet.MAC) [][]float64 {
 		out[i] = make([]float64, n)
 	}
 	max := 0.0
-	a.forEachRateLocked(func(p Pair, r float64) {
+	for p, r := range a.rates {
 		si, ok1 := idx[p.Src]
 		di, ok2 := idx[p.Dst]
 		if ok1 && ok2 {
@@ -573,7 +494,7 @@ func (a *Aggregator) Matrix(order []ethernet.MAC) [][]float64 {
 				max = r
 			}
 		}
-	})
+	}
 	if max > 0 {
 		for i := range out {
 			for j := range out[i] {

@@ -1,9 +1,11 @@
 package vttif
 
 import (
+	"math"
 	"testing"
 
 	"freemeasure/internal/ethernet"
+	"freemeasure/internal/obs"
 )
 
 var (
@@ -154,11 +156,30 @@ func TestMatrixAndVMs(t *testing.T) {
 
 func TestUpdateValidation(t *testing.T) {
 	a := NewAggregator(Config{})
+	reg := obs.NewRegistry()
+	a.SetMetrics(NewAggregatorMetrics(reg), reg)
 	if err := a.Update("d1", nil, 0); err == nil {
 		t.Fatal("expected error on zero interval")
 	}
 	if err := a.Update("d1", nil, -3); err == nil {
 		t.Fatal("expected error on negative interval")
+	}
+	for _, iv := range []float64{math.NaN(), math.Inf(1)} {
+		if err := a.Update("d1", nil, iv); err == nil {
+			t.Fatalf("expected error on interval %v", iv)
+		}
+	}
+	// A positive but tiny interval turns bytes into an infinite rate,
+	// which would never decay below the prune threshold: the whole
+	// report is rejected.
+	if err := a.Update("d1", map[Pair]uint64{{m1, m2}: 1000, {m2, m1}: 1}, 1e-308); err == nil {
+		t.Fatal("expected error on an interval giving an infinite rate")
+	}
+	if got := a.met.BadIntervals.Value(); got != 5 {
+		t.Fatalf("vttif_bad_interval_reports_total = %d, want 5", got)
+	}
+	if len(a.Rates()) != 0 {
+		t.Fatalf("rejected reports left rates %v", a.Rates())
 	}
 	// Rejected reports must not count as fused updates or disturb state.
 	if a.Updates() != 0 {
