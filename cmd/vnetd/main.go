@@ -50,8 +50,6 @@ func main() {
 		ctrlInt  = flag.Duration("controller-interval", 2*time.Second, "controller cycle period")
 		ctrlMin  = flag.Float64("controller-min-improvement", 0.1, "hysteresis: fractional objective gain required before acting")
 		ctrlAbs  = flag.Float64("controller-min-absolute", 1.0, "hysteresis: absolute objective gain required before acting")
-		ctrlWarm = flag.Bool("controller-warm", true, "warm-start the solver from the installed configuration on small traffic deltas (false = full re-solve every cycle)")
-		ctrlFull = flag.Float64("controller-full-fraction", 0, "traffic-delta fraction above which the solver re-solves from scratch (0 = default 0.3)")
 		estFuse  = flag.Duration("est-fusion", 0, "fuse active probe estimates into the controller's view when passive measurements are older than this; one probe train in flight at the hub, each peer probed at most once per interval (0 = passive only; requires -controller)")
 		mapURL   = flag.String("map-url", "", "wrenrepod base URL to fetch the published bandwidth map from; fills controller estimates the live view lacks (requires -controller)")
 		mapEvery = flag.Duration("map-fetch", 2*time.Second, "bandwidth map fetch interval (requires -map-url)")
@@ -329,7 +327,6 @@ func main() {
 			Source:   src,
 			Applier:  control.LogApplier{Logger: ctrlLog},
 			Gate:     vadapt.Gate{MinImprovement: *ctrlMin, MinAbsolute: *ctrlAbs},
-			Warm:     vadapt.WarmConfig{Disabled: !*ctrlWarm, FullFraction: *ctrlFull},
 			Interval: *ctrlInt,
 			Metrics:  control.NewMetrics(reg),
 			Solver:   vadapt.NewMetrics(reg),

@@ -138,7 +138,7 @@ func main() {
 		}
 		for _, o := range obs {
 			fmt.Printf("at=%d isr=%.2fMbps congested=%v train=%d minRtt=%.3fms\n",
-				o.At, o.ISRMbps, o.Congested, o.TrainLen, float64(o.MinRTT)/1e6)
+				o.At, o.RateMbps, o.Congested, o.TrainLen, float64(o.MinRTT)/1e6)
 		}
 	case "map":
 		m, err := fetchMap(*url)

@@ -74,7 +74,7 @@ func main() {
 			name, po.Remote, est.Mbps, est.Kind, est.Lo, est.Hi, est.Count, est.Quality, po.LatencyMs)
 		for _, o := range m.Observations(po.Remote, 0) {
 			fmt.Printf("  t=%.3fs isr=%8.2f congested=%v len=%d\n",
-				float64(o.At)/1e9, o.ISRMbps, o.Congested, o.TrainLen)
+				float64(o.At)/1e9, o.RateMbps, o.Congested, o.TrainLen)
 		}
 	}
 }

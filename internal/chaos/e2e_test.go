@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"freemeasure/internal/estimator"
 	"freemeasure/internal/obs"
 	"freemeasure/internal/simnet"
 	"freemeasure/internal/tcpsim"
@@ -144,7 +145,7 @@ func runPartitionScenario(t *testing.T, seed int64, fr *obs.FlightRecorder) []by
 	sim.RunUntil(simnet.Time(simnet.Seconds(12)))
 
 	for _, o := range m.Observations(remote, 0) {
-		log.Addf("obs at=%d isr=%.6f congested=%v len=%d", o.At, o.ISRMbps, o.Congested, o.TrainLen)
+		log.Addf("obs at=%d isr=%.6f congested=%v len=%d", o.At, o.RateMbps, o.Congested, o.TrainLen)
 	}
 	st := d.Forward.Stats()
 	log.Addf("fwd enq=%d drop=%d lost=%d delv=%d bytes=%d",
@@ -212,7 +213,7 @@ func TestChaosEstimatesReconvergeAfterLoss(t *testing.T) {
 		t.Fatalf("ScheduleSim: %v", err)
 	}
 
-	var before wren.Estimate
+	var before estimator.Estimate
 	var beforeOK bool
 	sim.Schedule(simnet.Time(simnet.Seconds(faultStart-0.5)), func() {
 		before, beforeOK = m.AvailableBandwidth(remote)

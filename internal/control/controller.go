@@ -70,8 +70,7 @@ type Config struct {
 	SA vadapt.SAConfig
 	// Warm tunes the incremental warm-start policy: on a small traffic
 	// delta the decide phase repairs the installed configuration instead of
-	// re-solving from scratch. The zero value means defaults; set
-	// Warm.Disabled to restore the full-re-solve-every-cycle behavior.
+	// re-solving from scratch. The zero value means defaults.
 	Warm vadapt.WarmConfig
 	// Solver is optional instrumentation for the incremental solver's
 	// GH/SA search (vadapt.NewMetrics); nil disables it.
@@ -463,13 +462,12 @@ func (c *Controller) runCycle() (res CycleResult) {
 // demand rates against the previous cycle's — keyed by MAC pair, so VM
 // renumbering between snapshots cannot alias demands — and folds in the
 // demands named by the sense layer's VTTIF delta stream. It returns the
-// demand indices whose rates moved beyond Warm.ChangedFraction (plus new
+// demand indices whose rates moved beyond vadapt.ChangedFraction (plus new
 // and delta-flagged demands) and the overall delta fraction: the sum of
 // absolute rate changes (vanished demands count in full) over the larger
 // of the two cycles' total rates, clamped to [0,1]. The first cycle with
 // demands reports fraction 1, forcing a full solve.
 func (c *Controller) demandDelta(snap *Snapshot) (changed []int, frac float64) {
-	w := c.cfg.Warm.WithDefaults(c.cfg.SA.Iterations)
 	p := snap.Problem
 	rates := make(map[[2]ethernet.MAC]float64, len(p.Demands))
 	index := make(map[[2]ethernet.MAC]int, len(p.Demands))
@@ -482,7 +480,7 @@ func (c *Controller) demandDelta(snap *Snapshot) (changed []int, frac float64) {
 		totNew += d.Rate
 		old := c.lastRates[pair]
 		moved += math.Abs(d.Rate - old)
-		if old == 0 || math.Abs(d.Rate-old) > w.ChangedFraction*old {
+		if old == 0 || math.Abs(d.Rate-old) > vadapt.ChangedFraction*old {
 			changedSet[i] = true
 		}
 	}

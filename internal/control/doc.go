@@ -36,11 +36,11 @@
 // their first link. Record.At is the observation time and nothing
 // re-stamps it on receipt, so PathProvenance.AgeSec and Fusion.StaleAfter
 // mean the same on every route. The shapes that remain each add
-// something: wren.Estimate (bracket and window count), wren.PathObservation
+// something: estimator.Estimate (bracket and window count — the monitor's
+// per-path SIC and the estimator zoo both return it), wren.PathObservation
 // (one monitor row, before the bracket is dropped), coord.Record (the path
 // record), PathProvenance (what the decision saw: source and age, including
-// fallbacks no record backs), estimator.Estimate (the estimator zoo's
-// return type).
+// fallbacks no record backs).
 //
 // Every cycle is explainable after the fact: Config.Logger writes one
 // structured log line per noteworthy cycle, and Config.Flight records

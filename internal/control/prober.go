@@ -46,7 +46,7 @@ func NewHubProber(d *vnet.Daemon, mon *wren.Monitor, staleAfter time.Duration, l
 	if err != nil {
 		return nil, err
 	}
-	set.AttachMonitor(mon)
+	mon.SetTrainHook(set.Observe)
 	return &HubProber{
 		set: set, logger: logger, staleAfter: staleAfter,
 		now: time.Now,
@@ -69,7 +69,7 @@ func (p *HubProber) OnDemand(from, to string) (coord.Record, bool) {
 	}
 	return coord.Record{
 		Path: coord.Path{From: from, To: to},
-		At:   min(a.UpdatedAt, b.UpdatedAt),
+		At:   min(a.At, b.At),
 		Mbps: math.Min(a.Mbps, b.Mbps),
 		Kind: "active",
 	}, true

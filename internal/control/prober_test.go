@@ -219,7 +219,7 @@ func testHubProberBudget(t *testing.T, step time.Duration) {
 		if !ok {
 			t.Fatalf("leg %s has no estimate", peer)
 		}
-		at[peer] = est.UpdatedAt
+		at[peer] = est.At
 	}
 	snap := sense()
 	slack := time.Since(wallStart).Seconds()

@@ -69,17 +69,14 @@ func TestConformance(t *testing.T) {
 			if est.Lo > est.Hi {
 				t.Fatalf("Lo %v > Hi %v", est.Lo, est.Hi)
 			}
-			if est.Confidence < 0 || est.Confidence > 1 {
-				t.Fatalf("confidence %v outside [0,1]", est.Confidence)
+			if est.Quality < 0 || est.Quality > 1 {
+				t.Fatalf("quality %v outside [0,1]", est.Quality)
 			}
 			if est.Count <= 0 {
 				t.Fatalf("count = %d", est.Count)
 			}
-			if est.UpdatedAt != lastAt {
-				t.Fatalf("UpdatedAt = %d, want newest observation %d", est.UpdatedAt, lastAt)
-			}
-			if age := est.AgeSec(lastAt + 3_000_000_000); math.Abs(age-3) > 1e-9 {
-				t.Fatalf("AgeSec = %v, want 3", age)
+			if est.At != lastAt {
+				t.Fatalf("At = %d, want newest observation %d", est.At, lastAt)
 			}
 			if !est.Stale(lastAt+3_000_000_000, 2_000_000_000) {
 				t.Fatal("3s-old estimate not stale at 2s limit")

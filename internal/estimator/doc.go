@@ -5,12 +5,14 @@
 //
 // Every estimator consumes Observations (one per resolved packet train:
 // rate, congestion verdict, per-packet departures and RTTs) and emits an
-// Estimate carrying a point value, a [Lo, Hi] bracket, a confidence in
-// [0, 1], and the timestamp it was last updated, so callers can reason
-// about staleness. Three families are registered:
+// Estimate carrying a point value, a [Lo, Hi] bracket with the Bound it
+// gives, a Quality in [0, 1], and the time of its newest observation, so
+// callers can reason about staleness. The package imports nothing of
+// Wren's: the Wren monitor produces these Observations and runs SIC for
+// each path itself. Three families are registered:
 //
 //   - "sic" (passive): the paper's self-induced-congestion estimator,
-//     adapting wren.BandwidthEstimator — the rate threshold that best
+//     the one the Wren monitor runs — the rate threshold that best
 //     separates congested from uncongested trains.
 //   - "minplus" (passive): a min-plus system-theoretic estimator in the
 //     style of Liebeherr, Fidler & Valaee: each train at rate r yields a
@@ -27,8 +29,8 @@
 //
 // Estimators register themselves by name in an init-time registry (New,
 // Names), so the eval harness and the fusion hook treat them uniformly.
-// Attach taps a wren.Monitor's train feed into any sink, and Set manages
-// one estimator instance per remote path — the glue for feeding the zoo
-// from live capture. The eval harness lives in the eval subpackage;
+// Set manages one estimator instance per remote path; installing its
+// Observe as a wren.Monitor's train hook feeds the zoo from live capture.
+// The eval harness lives in the eval subpackage;
 // docs/ESTIMATORS.md documents theory, tuning, and methodology.
 package estimator

@@ -1,5 +1,7 @@
 package estimator
 
+import "math"
+
 // Kind classifies how an estimator obtains its observations.
 type Kind int
 
@@ -21,14 +23,16 @@ func (k Kind) String() string {
 
 // Observation is one measurement opportunity on a path: a resolved packet
 // train with its rate and congestion analysis. Passive estimators receive
-// these from the Wren train tap (Attach); active ones additionally receive
-// the results of their own probe trains, flagged Probe.
+// these from the Wren monitor's train hook (wren.Monitor.SetTrainHook);
+// active ones additionally receive the results of their own probe trains,
+// flagged Probe.
 type Observation struct {
 	At        int64   // train end timestamp (ns)
 	RateMbps  float64 // the train's initial sending rate
 	Congested bool    // SIC verdict: RTTs rose (or loss) across the train
 	Ambiguous bool    // no verdict: trend neither clearly rising nor flat
 	MinRTT    int64   // smallest per-packet RTT in the train (ns)
+	TrainLen  int     // packets in the train
 
 	// Departures and RTTs are the train's per-packet detail, parallel
 	// slices (RTTs entries < 0 are unmatched). Optional: estimators that
@@ -41,30 +45,71 @@ type Observation struct {
 	Probe bool // true when the train was an injected probe, not app traffic
 }
 
-// Estimate is an estimator's current belief about a path's available
-// bandwidth. Mbps is the point estimate; [Lo, Hi] brackets it (Hi may be
-// +Inf when no congestion has ever been observed, Lo 0 when no rate has
-// passed cleanly). Confidence in [0, 1] reflects how well the window's
-// evidence pins the value down; UpdatedAt lets callers judge staleness.
-type Estimate struct {
-	Mbps       float64
-	Lo, Hi     float64
-	Confidence float64
-	Count      int   // observations contributing
-	UpdatedAt  int64 // timestamp of the newest contributing observation (ns)
+// Bound says which sides of an estimate's [Lo, Hi] bracket the evidence
+// closes. With no congested evidence above the estimate the true value is
+// only known to be at least Lo; with no clean evidence below it, at most
+// Hi.
+type Bound int
+
+const (
+	Exact      Bound = iota // Lo and Hi both closed
+	LowerBound              // Hi is +Inf: the value is at least Lo
+	UpperBound              // Lo is 0: the value is at most Hi
+)
+
+func (b Bound) String() string {
+	switch b {
+	case LowerBound:
+		return "lower-bound"
+	case UpperBound:
+		return "upper-bound"
+	default:
+		return "exact"
+	}
 }
 
-// AgeSec returns the estimate's age at time now in seconds.
-func (e Estimate) AgeSec(now int64) float64 {
-	if now <= e.UpdatedAt {
+// bracketBound names the bound a [lo, hi] bracket gives.
+func bracketBound(lo, hi float64) Bound {
+	switch {
+	case math.IsInf(hi, 1):
+		return LowerBound
+	case lo == 0:
+		return UpperBound
+	default:
+		return Exact
+	}
+}
+
+// saturate maps a count onto [0, 1], reaching 1 at full.
+func saturate(n, full int) float64 {
+	if n >= full {
+		return 1
+	}
+	if n <= 0 {
 		return 0
 	}
-	return float64(now-e.UpdatedAt) / 1e9
+	return float64(n) / float64(full)
+}
+
+// Estimate is an estimator's current belief about a path's available
+// bandwidth. Mbps is the point estimate; [Lo, Hi] brackets it (Hi is +Inf
+// when no congestion has been observed, Lo 0 when no rate has passed
+// cleanly) and Kind says which. When the traffic cannot probe rates near
+// the true value (e.g. a window-limited TCP on a long path) the bracket
+// may be wide, so read Mbps together with it. Quality in [0, 1] is how
+// well the evidence pins the value down; At lets callers judge staleness.
+type Estimate struct {
+	Mbps    float64
+	Kind    Bound
+	Lo, Hi  float64
+	Count   int     // observations contributing
+	Quality float64 // in [0, 1]
+	At      int64   // timestamp of the newest contributing observation (ns)
 }
 
 // Stale reports whether the estimate is older than maxAge (ns) at now.
 func (e Estimate) Stale(now, maxAge int64) bool {
-	return now-e.UpdatedAt > maxAge
+	return now-e.At > maxAge
 }
 
 // Estimator is one available-bandwidth estimation strategy for a single

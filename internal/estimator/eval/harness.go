@@ -73,19 +73,10 @@ func buildTopo(sim *simnet.Sim, sc Scenario) *topo {
 	return t
 }
 
-// Run replays one scenario through one registered estimator. The
-// simulator is deterministic, so the same (scenario, estimator, seed)
-// triple reproduces the identical sample series.
-func Run(sc Scenario, estName string, seed int64) (*RunResult, error) {
-	est, err := estimator.New(estName, estimator.Config{
-		Window:      48,
-		MaxAge:      15_000_000_000,
-		MinRateMbps: 1,
-		MaxRateMbps: sc.maxRate(),
-	})
-	if err != nil {
-		return nil, err
-	}
+// buildRun sets up one scenario's simulated network: the topology, a CBR
+// of cross traffic per hop, the monitored application, and a Wren monitor
+// capturing on the source host (not yet polled).
+func buildRun(sc Scenario, seed int64) (*simnet.Sim, *topo, []*tcpsim.CBR, *wren.Monitor) {
 	sim := simnet.NewSim()
 	tp := buildTopo(sim, sc)
 
@@ -103,13 +94,28 @@ func Run(sc Scenario, estName string, seed int64) (*RunResult, error) {
 	conn := tcpsim.NewConnection(tp.net, 1, tp.src, tp.dst, tcpsim.Config{MaxCwnd: 44})
 	tcpsim.StartMessageApp(conn, messagePhases(), 0, -1, seed)
 
-	// Wren watches the source host; the tap feeds the estimator every
-	// train toward the monitored destination or the probe sink (both
-	// traverse the full path).
+	// Wren watches the source host.
 	mon := wren.NewMonitor(wren.HostName(tp.src), wren.Config{
 		Estimator: wren.EstimatorConfig{Window: 48, MaxAge: 15_000_000_000},
 	})
 	wren.AttachSim(mon, tp.net, tp.src)
+	return sim, tp, crosses, mon
+}
+
+// Run replays one scenario through one registered estimator. The
+// simulator is deterministic, so the same (scenario, estimator, seed)
+// triple reproduces the identical sample series.
+func Run(sc Scenario, estName string, seed int64) (*RunResult, error) {
+	est, err := estimator.New(estName, estimator.Config{
+		Window:      48,
+		MaxAge:      15_000_000_000,
+		MinRateMbps: 1,
+		MaxRateMbps: sc.maxRate(),
+	})
+	if err != nil {
+		return nil, err
+	}
+	sim, tp, crosses, mon := buildRun(sc, seed)
 	wren.StartPolling(mon, tp.net, simnet.Seconds(0.5))
 	// Active estimators measure through their probe driver alone (toward
 	// the dedicated sink, so probe sequence space never interleaves with
@@ -121,8 +127,10 @@ func Run(sc Scenario, estName string, seed int64) (*RunResult, error) {
 		driver = NewProbeDriver(tp.net, tp.src, tp.sink, 77, est, prober, simnet.Seconds(0.5))
 		driver.Start()
 	} else {
+		// The tap feeds the estimator every train toward the monitored
+		// destination.
 		dstName := wren.HostName(tp.dst)
-		estimator.Attach(mon, func(remote string, o estimator.Observation) {
+		mon.SetTrainHook(func(remote string, o estimator.Observation) {
 			if remote == dstName {
 				est.Observe(o)
 			}

@@ -170,20 +170,11 @@ func (d *ProbeDriver) finalize(tr *probeTrain) {
 		return
 	}
 	obs.MinRTT = minRTT
-	if float64(tr.matched)/float64(n) < 0.9 {
+	if float64(tr.matched)/float64(n) < wren.MinMatchedFrac {
 		obs.Congested = true
 		d.est.Observe(obs)
 		return
 	}
-	// The standard pathload thresholds, as wren.SICConfig defaults them.
-	st := wren.Trend(tr.rtts)
-	switch {
-	case st.PCT >= 0.66 || st.PDT >= 0.50:
-		obs.Congested = true
-	case st.PCT <= 0.54 && st.PDT <= 0.30:
-		obs.Congested = false
-	default:
-		obs.Ambiguous = true
-	}
+	obs.Congested, obs.Ambiguous = wren.Verdict(tr.rtts)
 	d.est.Observe(obs)
 }

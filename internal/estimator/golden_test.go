@@ -29,8 +29,8 @@ func TestSICGoldenVerdictScan(t *testing.T) {
 	if math.Abs(est.Mbps-60) > 5 {
 		t.Fatalf("estimate %.1f, want 60 +- 5", est.Mbps)
 	}
-	if est.Confidence < 0.9 {
-		t.Fatalf("clean split confidence %.2f, want >= 0.9", est.Confidence)
+	if est.Quality < 0.9 {
+		t.Fatalf("clean split quality %.2f, want >= 0.9", est.Quality)
 	}
 }
 

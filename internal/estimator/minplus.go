@@ -113,7 +113,7 @@ func (m *MinPlus) Estimate(now int64) (Estimate, bool) {
 			lo = s.rate
 		}
 	}
-	est := Estimate{Lo: lo, Hi: hi, Count: len(m.samples), UpdatedAt: m.last}
+	est := Estimate{Lo: lo, Hi: hi, Kind: bracketBound(lo, hi), Count: len(m.samples), At: m.last}
 
 	// The rate-scan regression: m = r/C - A/C over congested detail samples.
 	if a, b, r2, ok := m.fitSlopes(); ok && a > 1e-9 {
@@ -128,7 +128,7 @@ func (m *MinPlus) Estimate(now int64) (Estimate, bool) {
 			avail = hi
 		}
 		est.Mbps = avail
-		est.Confidence = math.Max(0.1, r2) * saturate(len(m.samples), 8)
+		est.Quality = math.Max(0.1, r2) * saturate(len(m.samples), 8)
 		return est, true
 	}
 
@@ -136,17 +136,17 @@ func (m *MinPlus) Estimate(now int64) (Estimate, bool) {
 	switch {
 	case congested == 0:
 		est.Mbps = lo
-		est.Confidence = 0.3 * saturate(len(m.samples), 8)
+		est.Quality = 0.3 * saturate(len(m.samples), 8)
 	case congested == len(m.samples):
 		est.Mbps = hi
-		est.Confidence = 0.3 * saturate(len(m.samples), 8)
+		est.Quality = 0.3 * saturate(len(m.samples), 8)
 	default:
 		if math.IsInf(hi, 1) {
 			est.Mbps = lo
 		} else {
 			est.Mbps = (lo + hi) / 2
 		}
-		est.Confidence = 0.5 * saturate(len(m.samples), 8)
+		est.Quality = 0.5 * saturate(len(m.samples), 8)
 	}
 	return est, true
 }

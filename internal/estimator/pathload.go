@@ -164,22 +164,23 @@ func (p *SelfLoading) Estimate(now int64) (Estimate, bool) {
 	if p.count == 0 {
 		return Estimate{}, false
 	}
-	est := Estimate{Lo: p.lo, Hi: p.hi, Count: p.count, UpdatedAt: p.last}
+	est := Estimate{Lo: p.lo, Hi: p.hi, Count: p.count, At: p.last}
 	switch {
 	case !p.haveCong:
 		// Everything passed clean so far: lo is only a lower bound.
 		est.Mbps = p.lo
 		est.Hi = math.Inf(1)
-		est.Confidence = 0.2 * saturate(p.count, 6)
+		est.Quality = 0.2 * saturate(p.count, 6)
 	case !p.haveClean:
 		est.Mbps = p.hi
 		est.Lo = 0
-		est.Confidence = 0.2 * saturate(p.count, 6)
+		est.Quality = 0.2 * saturate(p.count, 6)
 	default:
 		est.Mbps = (p.lo + p.hi) / 2
 		width := (p.hi - p.lo) / math.Max(p.hi, 1e-9)
-		est.Confidence = math.Max(0, 1-width) * saturate(p.count, 6)
+		est.Quality = math.Max(0, 1-width) * saturate(p.count, 6)
 	}
+	est.Kind = bracketBound(est.Lo, est.Hi)
 	return est, true
 }
 

@@ -74,15 +74,8 @@ func (l *Link) To() HostID { return l.to }
 // RateMbps returns the configured transmission rate.
 func (l *Link) RateMbps() float64 { return l.rateMbps }
 
-// Delay returns the propagation delay.
-func (l *Link) Delay() Duration { return l.delay }
-
 // Stats returns a copy of the link's counters.
 func (l *Link) Stats() LinkStats { return l.stats }
-
-// QueuedBytes returns the bytes currently waiting (excluding the packet in
-// transmission).
-func (l *Link) QueuedBytes() int { return l.queuedBytes }
 
 // SetRate changes the link's rate mid-run (Nistnet-style reconfiguration).
 // The packet currently being serialized finishes at the old rate.

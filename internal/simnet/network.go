@@ -25,9 +25,6 @@ func (h *Host) Name() string { return h.name }
 // Register installs the handler for a flow, replacing any previous one.
 func (h *Host) Register(flow FlowID, fn Handler) { h.handlers[flow] = fn }
 
-// Unregister removes the handler for a flow.
-func (h *Host) Unregister(flow FlowID) { delete(h.handlers, flow) }
-
 // AddCapture installs a NIC capture hook (Wren's packet trace facility).
 // Out events fire when this host's NIC starts serializing a packet; In
 // events fire when a packet addressed to this host arrives.

@@ -16,49 +16,32 @@ import (
 // drift backstop. Seeded determinism is preserved: the same problem,
 // prior, and delta always produce the same configuration.
 
-// WarmConfig tunes the warm-start policy.
-type WarmConfig struct {
-	// Disabled forces a full re-solve every cycle (the pre-incremental
-	// behavior).
-	Disabled bool
+const (
 	// FullFraction is the traffic-delta fraction (sum of absolute rate
 	// changes over total rate) above which the solver declares a regime
-	// change and re-solves from scratch. Default 0.3.
-	FullFraction float64
-	// WarmIterations is the focused-anneal budget per warm solve. Default
-	// max(64, SA.Iterations/8); 0 stays 0 when the underlying SA is
-	// disabled (pure greedy reroute, fully deterministic).
-	WarmIterations int
+	// change and re-solves from scratch.
+	FullFraction = 0.3
+	// ChangedFraction is the per-demand relative rate change above which
+	// callers consider a demand changed when computing the delta set.
+	ChangedFraction = 0.05
+)
+
+// warmIterations is the focused-anneal budget per warm solve:
+// max(64, saIterations/8), and 0 when the underlying SA is disabled (pure
+// greedy reroute, fully deterministic).
+func warmIterations(saIterations int) int {
+	if saIterations <= 0 {
+		return 0
+	}
+	return max(64, saIterations/8)
+}
+
+// WarmConfig tunes the warm-start policy.
+type WarmConfig struct {
 	// FullEvery forces a full re-solve after this many consecutive warm
 	// solves, bounding accumulated drift. Default 16; negative disables
 	// the backstop.
 	FullEvery int
-	// ChangedFraction is the per-demand relative rate change above which
-	// callers should consider a demand changed when computing the delta
-	// set. Default 0.05. (Used by the controller, carried here so the
-	// knob lives beside its siblings.)
-	ChangedFraction float64
-}
-
-// WithDefaults fills zero fields. saIterations is the configured full-SA
-// budget, used to scale the default warm budget.
-func (w WarmConfig) WithDefaults(saIterations int) WarmConfig {
-	if w.FullFraction == 0 {
-		w.FullFraction = 0.3
-	}
-	if w.WarmIterations == 0 && saIterations > 0 {
-		w.WarmIterations = saIterations / 8
-		if w.WarmIterations < 64 {
-			w.WarmIterations = 64
-		}
-	}
-	if w.FullEvery == 0 {
-		w.FullEvery = 16
-	}
-	if w.ChangedFraction == 0 {
-		w.ChangedFraction = 0.05
-	}
-	return w
 }
 
 // SolveStats reports what one Incremental.Solve did.
@@ -86,24 +69,25 @@ type Incremental struct {
 // overall traffic-delta magnitude in [0,1] (1 = everything changed).
 func (inc *Incremental) Solve(p *Problem, prev *Config, changed []int, deltaFraction float64) (*Config, SolveStats) {
 	p.Validate()
-	w := inc.Warm.WithDefaults(inc.SA.Iterations)
+	fullEvery := inc.Warm.FullEvery
+	if fullEvery == 0 {
+		fullEvery = 16
+	}
 	reason := ""
 	switch {
-	case w.Disabled:
-		reason = "warm-start disabled"
 	case prev == nil || len(prev.Mapping) != p.NumVMs || len(prev.Paths) != len(p.Demands):
 		reason = "no usable prior configuration"
 	case !mappingValid(p, prev.Mapping):
 		reason = "prior mapping invalid for host set"
-	case deltaFraction > w.FullFraction:
+	case deltaFraction > FullFraction:
 		reason = "regime change"
-	case w.FullEvery > 0 && inc.sinceFull >= w.FullEvery:
+	case fullEvery > 0 && inc.sinceFull >= fullEvery:
 		reason = "periodic full re-solve"
 	}
 	if reason != "" {
 		return inc.fullSolve(p, reason, len(changed))
 	}
-	return inc.warmSolve(p, prev, changed, w)
+	return inc.warmSolve(p, prev, changed)
 }
 
 func (inc *Incremental) fullSolve(p *Problem, reason string, changed int) (*Config, SolveStats) {
@@ -124,7 +108,7 @@ func (inc *Incremental) fullSolve(p *Problem, reason string, changed int) (*Conf
 	return cfg, SolveStats{Mode: "full", Reason: reason, Iterations: iters, Repaired: changed}
 }
 
-func (inc *Incremental) warmSolve(p *Problem, prev *Config, changed []int, w WarmConfig) (*Config, SolveStats) {
+func (inc *Incremental) warmSolve(p *Problem, prev *Config, changed []int) (*Config, SolveStats) {
 	inc.sinceFull++
 	if inc.Metrics != nil {
 		inc.Metrics.WarmSolves.Inc()
@@ -155,9 +139,9 @@ func (inc *Incremental) warmSolve(p *Problem, prev *Config, changed []int, w War
 	}
 	rerouteDemands(p, cfg, repair)
 	iters := 0
-	if len(repair) > 0 && w.WarmIterations > 0 {
+	if warm := warmIterations(inc.SA.Iterations); len(repair) > 0 && warm > 0 {
 		sa := inc.SA
-		sa.Iterations = w.WarmIterations
+		sa.Iterations = warm
 		sa.FocusPaths = sortedIndices(repair)
 		if sa.Metrics == nil {
 			sa.Metrics = inc.Metrics
@@ -174,9 +158,6 @@ func (inc *Incremental) objective() Objective {
 	}
 	return ResidualBW{}
 }
-
-// SinceFull reports consecutive warm solves since the last full re-solve.
-func (inc *Incremental) SinceFull() int { return inc.sinceFull }
 
 func mappingValid(p *Problem, mapping []topology.NodeID) bool {
 	used := make(map[topology.NodeID]bool, len(mapping))

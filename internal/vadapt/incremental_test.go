@@ -138,12 +138,6 @@ func TestIncrementalFullFallbacks(t *testing.T) {
 	inc := newIncremental(nil)
 	good, _ := inc.Solve(p, nil, nil, 1)
 
-	// Disabled policy.
-	dis := newIncremental(nil)
-	dis.Warm.Disabled = true
-	if _, stats := dis.Solve(p, good, nil, 0); stats.Mode != "full" {
-		t.Fatalf("disabled: %+v", stats)
-	}
 	// Shape mismatch: prior built for a different demand count.
 	short := good.Clone()
 	short.Paths = short.Paths[:len(short.Paths)-1]

@@ -65,7 +65,7 @@ type Daemon struct {
 	// Wren feed: bounded ring + batch sink, both swapped atomically.
 	ring      atomic.Pointer[feedRing]
 	wrenBatch atomic.Pointer[func([]pcap.Record)]
-	feedCap   int // ring capacity override; set before the first SetWrenFeed
+	feedCap   int // ring capacity override; set before the first SetWrenBatchFeed
 
 	mu     sync.RWMutex // control plane: registration state and snapshot swaps
 	ln     net.Listener
@@ -78,7 +78,6 @@ type Daemon struct {
 
 	traffic    *vttif.Local
 	onControl  ControlHandler
-	onLinkUp   func(peer string)
 	onLinkDown func(peer string)
 	flight     *obs.FlightRecorder
 	log        *slog.Logger
@@ -119,24 +118,6 @@ func (d *Daemon) Stats() DaemonStats {
 	}
 }
 
-// SetWrenFeed installs a per-record capture sink for this daemon's link
-// traffic. Records are conveyed through the daemon's bounded feed ring
-// and delivered from a dedicated analyzer goroutine, so a slow sink never
-// stalls forwarding; under overload the oldest records are dropped and
-// counted (WrenFeedDropped / wren_feed_ring_dropped_total). Prefer
-// SetWrenBatchFeed for sinks with a batch form (wren.Monitor.FeedAll).
-func (d *Daemon) SetWrenFeed(fn func(pcap.Record)) {
-	if fn == nil {
-		d.SetWrenBatchFeed(nil)
-		return
-	}
-	d.SetWrenBatchFeed(func(rs []pcap.Record) {
-		for _, r := range rs {
-			fn(r)
-		}
-	})
-}
-
 // SetWrenBatchFeed installs the batched capture sink: the analyzer
 // goroutine drains the feed ring and calls fn with each batch, preserving
 // record order. The batch slice is reused between calls — sinks must not
@@ -151,7 +132,7 @@ func (d *Daemon) SetWrenBatchFeed(fn func([]pcap.Record)) {
 }
 
 // SetWrenFeedCapacity overrides the feed-ring capacity (records). It must
-// be called before the first SetWrenFeed/SetWrenBatchFeed; afterwards it
+// be called before the first SetWrenBatchFeed; afterwards it
 // has no effect. Zero or negative keeps the default (8192).
 func (d *Daemon) SetWrenFeedCapacity(n int) {
 	d.mu.Lock()
@@ -176,13 +157,6 @@ func (d *Daemon) startFeedRing() {
 func (d *Daemon) SetControlHandler(fn ControlHandler) {
 	d.mu.Lock()
 	d.onControl = fn
-	d.mu.Unlock()
-}
-
-// SetLinkUpHandler installs a callback fired when a link becomes usable.
-func (d *Daemon) SetLinkUpHandler(fn func(peer string)) {
-	d.mu.Lock()
-	d.onLinkUp = fn
 	d.mu.Unlock()
 }
 
@@ -334,7 +308,9 @@ func (d *Daemon) handshakeNamed(conn net.Conn, initiator bool) (string, error) {
 	if err != nil {
 		return "", err
 	}
-	d.linkUp(link)
+	// A freshly (re)connected peer may own slices of the ring; push it any
+	// registrations it is missing (idempotent on the receiver).
+	d.announceOwnedTo(link.peer)
 	d.wg.Add(1)
 	go func() {
 		defer d.wg.Done()
@@ -367,7 +343,9 @@ func (d *Daemon) registerLink(link *Link) error {
 	if err := d.installLink(link); err != nil {
 		return err
 	}
-	d.linkUp(link)
+	// A freshly (re)connected peer may own slices of the ring; push it any
+	// registrations it is missing (idempotent on the receiver).
+	d.announceOwnedTo(link.peer)
 	return nil
 }
 
@@ -395,19 +373,6 @@ func (d *Daemon) installLink(link *Link) error {
 		log.Info("link up", "peer", link.peer)
 	}
 	return nil
-}
-
-// linkUp tells the rest of the daemon about an installed link.
-func (d *Daemon) linkUp(link *Link) {
-	d.mu.RLock()
-	up := d.onLinkUp
-	d.mu.RUnlock()
-	if up != nil {
-		up(link.peer)
-	}
-	// A freshly (re)connected peer may own slices of the ring; push it any
-	// registrations it is missing (idempotent on the receiver).
-	d.announceOwnedTo(link.peer)
 }
 
 // dropLink tears a link down and removes it from the tables.

@@ -234,9 +234,9 @@ func TestWrenFeedRecords(t *testing.T) {
 	a, b := pairT(t)
 	var mu sync.Mutex
 	var recs []pcap.Record
-	a.SetWrenFeed(func(r pcap.Record) {
+	a.SetWrenBatchFeed(func(rs []pcap.Record) {
 		mu.Lock()
-		recs = append(recs, r)
+		recs = append(recs, rs...)
 		mu.Unlock()
 	})
 	dst := ethernet.VMMAC(2)

@@ -457,12 +457,14 @@ func TestAcksSeenBySenderAreCumulative(t *testing.T) {
 		a, b := pairT(t)
 		var mu sync.Mutex
 		var acks []int64
-		a.SetWrenFeed(func(r pcap.Record) {
-			if r.IsAck {
-				mu.Lock()
-				acks = append(acks, r.Ack)
-				mu.Unlock()
+		a.SetWrenBatchFeed(func(rs []pcap.Record) {
+			mu.Lock()
+			for _, r := range rs {
+				if r.IsAck {
+					acks = append(acks, r.Ack)
+				}
 			}
+			mu.Unlock()
 		})
 		dst := ethernet.VMMAC(2)
 		b.AttachVM(dst, func(*ethernet.Frame) {})

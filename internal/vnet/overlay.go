@@ -233,25 +233,6 @@ func (o *Overlay) DisconnectPair(a, b string) (bool, error) {
 	return hadA || hadB, nil
 }
 
-// ConnectPairUDP adds a direct virtual-UDP link between two member
-// daemons, opening b's UDP endpoint on demand.
-func (o *Overlay) ConnectPairUDP(a, b string) error {
-	na, nb := o.Node(a), o.Node(b)
-	if na == nil || nb == nil {
-		return fmt.Errorf("vnet: unknown node %s or %s", a, b)
-	}
-	addr, ok := nb.Daemon.UDPAddr()
-	if !ok {
-		var err error
-		addr, err = nb.Daemon.ListenUDP("127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-	}
-	_, err := na.Daemon.ConnectUDP(addr)
-	return err
-}
-
 // StartReporting launches each node's periodic control pushes to its
 // home proxy (the star's single Proxy, or the ring assignment in a
 // mesh): the VTTIF local matrix and the local Wren measurements, every

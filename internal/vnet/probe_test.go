@@ -18,9 +18,9 @@ func TestProbeTrainDiesAtPeerAndFeedsWren(t *testing.T) {
 
 	var mu sync.Mutex
 	var recs []pcap.Record
-	a.SetWrenFeed(func(r pcap.Record) {
+	a.SetWrenBatchFeed(func(rs []pcap.Record) {
 		mu.Lock()
-		recs = append(recs, r)
+		recs = append(recs, rs...)
 		mu.Unlock()
 	})
 

@@ -15,8 +15,10 @@
 //     trend across the train means the train's rate exceeded the path's
 //     available bandwidth (queues were building). See AnalyzeTrain.
 //  5. Aggregate many (ISR, congested?) observations into an estimate: the
-//     rate that best separates congested from uncongested trains
-//     (estimator.go).
+//     rate that best separates congested from uncongested trains. That
+//     split is estimator.SIC; the monitor keeps one per path, and its
+//     train hook hands the same estimator.Observations to any other
+//     estimator.
 //
 // Monitor is the online analysis engine (the paper's user-level daemon):
 // feed it capture records, poll it periodically, query it per remote.

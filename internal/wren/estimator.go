@@ -1,46 +1,9 @@
 package wren
 
-import (
-	"math"
-	"sort"
-)
+import "math"
 
-// EstimateKind qualifies a bandwidth estimate: with only uncongested
-// observations the true value is at least the largest ISR seen; with only
-// congested observations it is at most the smallest.
-type EstimateKind int
-
-const (
-	EstimateExact EstimateKind = iota
-	EstimateLowerBound
-	EstimateUpperBound
-)
-
-func (k EstimateKind) String() string {
-	switch k {
-	case EstimateLowerBound:
-		return "lower-bound"
-	case EstimateUpperBound:
-		return "upper-bound"
-	default:
-		return "exact"
-	}
-}
-
-// Estimate is the current available-bandwidth belief for one path. When
-// the application's traffic cannot probe rates near the true value (e.g. a
-// window-limited TCP on a long path), Lo and Hi may bracket a wide range;
-// Mbps is their midpoint and should be read together with them.
-type Estimate struct {
-	Mbps    float64
-	Kind    EstimateKind
-	Lo      float64 // largest uncongested ISR below the split (0 if none)
-	Hi      float64 // smallest congested ISR above the split (+Inf if none)
-	Count   int     // observations in the window
-	Quality float64 // 1 - misclassified fraction at the chosen threshold
-}
-
-// EstimatorConfig bounds the observation window.
+// EstimatorConfig bounds the observation window of each path's SIC and
+// latency estimators.
 type EstimatorConfig struct {
 	Window int   // max observations retained (default 64)
 	MaxAge int64 // observations older than this are evicted, ns (default 60 s)
@@ -56,130 +19,15 @@ func (c EstimatorConfig) withDefaults() EstimatorConfig {
 	return c
 }
 
-// BandwidthEstimator fuses a sliding window of SIC observations into an
-// available-bandwidth estimate. A single train is "only a singleton
-// observation of an inherently bursty process" (section 2.1), so the
-// estimator finds the rate threshold that best separates the window's
-// congested observations (which should lie above the available bandwidth)
-// from the uncongested ones (below).
-type BandwidthEstimator struct {
-	cfg EstimatorConfig
-	obs []Observation
-}
-
-// NewBandwidthEstimator creates an estimator.
-func NewBandwidthEstimator(cfg EstimatorConfig) *BandwidthEstimator {
-	return &BandwidthEstimator{cfg: cfg.withDefaults()}
-}
-
-// Add inserts an observation (observations must arrive in time order).
-func (e *BandwidthEstimator) Add(o Observation) {
-	e.obs = append(e.obs, o)
-	e.evict(o.At)
-}
-
-func (e *BandwidthEstimator) evict(now int64) {
-	cutoff := now - e.cfg.MaxAge
-	i := 0
-	for i < len(e.obs) && e.obs[i].At < cutoff {
-		i++
-	}
-	if i > 0 {
-		e.obs = append(e.obs[:0], e.obs[i:]...)
-	}
-	if len(e.obs) > e.cfg.Window {
-		over := len(e.obs) - e.cfg.Window
-		e.obs = append(e.obs[:0], e.obs[over:]...)
-	}
-}
-
-// Len returns the number of windowed observations.
-func (e *BandwidthEstimator) Len() int { return len(e.obs) }
-
-// Observations returns a copy of the current window.
-func (e *BandwidthEstimator) Observations() []Observation {
-	return append([]Observation(nil), e.obs...)
-}
-
-// Estimate computes the current available-bandwidth estimate. ok is false
-// until at least one observation is windowed.
-func (e *BandwidthEstimator) Estimate() (Estimate, bool) {
-	n := len(e.obs)
-	if n == 0 {
-		return Estimate{}, false
-	}
-	sorted := make([]Observation, n)
-	copy(sorted, e.obs)
-	sort.Slice(sorted, func(i, j int) bool { return sorted[i].ISRMbps < sorted[j].ISRMbps })
-
-	congestedTotal := 0
-	for _, o := range sorted {
-		if o.Congested {
-			congestedTotal++
-		}
-	}
-	if congestedTotal == 0 {
-		return Estimate{Mbps: sorted[n-1].ISRMbps, Kind: EstimateLowerBound,
-			Lo: sorted[n-1].ISRMbps, Hi: math.Inf(1), Count: n, Quality: 1}, true
-	}
-	if congestedTotal == n {
-		return Estimate{Mbps: sorted[0].ISRMbps, Kind: EstimateUpperBound,
-			Lo: 0, Hi: sorted[0].ISRMbps, Count: n, Quality: 1}, true
-	}
-
-	// Choose split k in [0,n]: observations below index k should be
-	// uncongested, those at or above should be congested. errors(k) =
-	// congested below + uncongested above; scan all splits in O(n). Ties
-	// are broken by the median minimizing split, which centers the
-	// estimate inside the overlap region instead of hugging its edge.
-	errs := n - congestedTotal // k=0: all uncongested misclassified as above
-	bestErr := errs
-	bestKs := []int{0}
-	congBelow, uncongBelow := 0, 0
-	for k := 1; k <= n; k++ {
-		if sorted[k-1].Congested {
-			congBelow++
-		} else {
-			uncongBelow++
-		}
-		errs = congBelow + (n - congestedTotal - uncongBelow)
-		switch {
-		case errs < bestErr:
-			bestErr = errs
-			bestKs = bestKs[:0]
-			bestKs = append(bestKs, k)
-		case errs == bestErr:
-			bestKs = append(bestKs, k)
-		}
-	}
-	bestK := bestKs[len(bestKs)/2]
-	est := Estimate{Count: n, Quality: 1 - float64(bestErr)/float64(n)}
-	switch bestK {
-	case 0:
-		est.Mbps = sorted[0].ISRMbps
-		est.Kind = EstimateUpperBound
-		est.Hi = sorted[0].ISRMbps
-	case n:
-		est.Mbps = sorted[n-1].ISRMbps
-		est.Kind = EstimateLowerBound
-		est.Lo = sorted[n-1].ISRMbps
-		est.Hi = math.Inf(1)
-	default:
-		est.Lo = sorted[bestK-1].ISRMbps
-		est.Hi = sorted[bestK].ISRMbps
-		est.Mbps = (est.Lo + est.Hi) / 2
-		est.Kind = EstimateExact
-	}
-	return est, true
-}
-
 // LatencyEstimator tracks path latency as the windowed minimum RTT halved
 // (one-way latency under symmetric paths — the same approximation the
 // paper's latency matrix uses).
 type LatencyEstimator struct {
 	cfg  EstimatorConfig
-	rtts []Observation // reuses At + MinRTT fields
+	rtts []rttSample
 }
+
+type rttSample struct{ at, minRTT int64 }
 
 // NewLatencyEstimator creates a latency estimator.
 func NewLatencyEstimator(cfg EstimatorConfig) *LatencyEstimator {
@@ -188,10 +36,10 @@ func NewLatencyEstimator(cfg EstimatorConfig) *LatencyEstimator {
 
 // Add records a train's minimum RTT sample.
 func (l *LatencyEstimator) Add(at, minRTT int64) {
-	l.rtts = append(l.rtts, Observation{At: at, MinRTT: minRTT})
+	l.rtts = append(l.rtts, rttSample{at, minRTT})
 	cutoff := at - l.cfg.MaxAge
 	i := 0
-	for i < len(l.rtts) && l.rtts[i].At < cutoff {
+	for i < len(l.rtts) && l.rtts[i].at < cutoff {
 		i++
 	}
 	if i > 0 {
@@ -210,8 +58,8 @@ func (l *LatencyEstimator) RTTMs() (float64, bool) {
 	}
 	min := int64(math.MaxInt64)
 	for _, o := range l.rtts {
-		if o.MinRTT < min {
-			min = o.MinRTT
+		if o.minRTT < min {
+			min = o.minRTT
 		}
 	}
 	return float64(min) / 1e6, true

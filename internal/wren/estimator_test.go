@@ -1,182 +1,6 @@
 package wren
 
-import (
-	"math/rand"
-	"testing"
-	"testing/quick"
-)
-
-func obsAt(at int64, isr float64, congested bool) Observation {
-	return Observation{At: at, ISRMbps: isr, Congested: congested, TrainLen: 10, MinRTT: 1000000}
-}
-
-func TestEstimatorEmpty(t *testing.T) {
-	e := NewBandwidthEstimator(EstimatorConfig{})
-	if _, ok := e.Estimate(); ok {
-		t.Fatal("empty estimator returned an estimate")
-	}
-}
-
-func TestEstimatorAllUncongested(t *testing.T) {
-	e := NewBandwidthEstimator(EstimatorConfig{})
-	for i, isr := range []float64{10, 30, 50} {
-		e.Add(obsAt(int64(i), isr, false))
-	}
-	est, ok := e.Estimate()
-	if !ok || est.Kind != EstimateLowerBound || est.Mbps != 50 {
-		t.Fatalf("est = %+v ok=%v, want lower-bound 50", est, ok)
-	}
-}
-
-func TestEstimatorAllCongested(t *testing.T) {
-	e := NewBandwidthEstimator(EstimatorConfig{})
-	for i, isr := range []float64{80, 100, 120} {
-		e.Add(obsAt(int64(i), isr, true))
-	}
-	est, ok := e.Estimate()
-	if !ok || est.Kind != EstimateUpperBound || est.Mbps != 80 {
-		t.Fatalf("est = %+v ok=%v, want upper-bound 80", est, ok)
-	}
-}
-
-func TestEstimatorPerfectSeparation(t *testing.T) {
-	e := NewBandwidthEstimator(EstimatorConfig{})
-	at := int64(0)
-	for _, isr := range []float64{10, 20, 40, 55} {
-		at++
-		e.Add(obsAt(at, isr, false))
-	}
-	for _, isr := range []float64{65, 80, 100} {
-		at++
-		e.Add(obsAt(at, isr, true))
-	}
-	est, _ := e.Estimate()
-	if est.Kind != EstimateExact {
-		t.Fatalf("kind = %v", est.Kind)
-	}
-	if est.Mbps != 60 {
-		t.Fatalf("estimate = %v, want 60 (midpoint of 55 and 65)", est.Mbps)
-	}
-	if est.Quality != 1 {
-		t.Fatalf("quality = %v, want 1", est.Quality)
-	}
-	if est.Count != 7 {
-		t.Fatalf("count = %v", est.Count)
-	}
-}
-
-func TestEstimatorNoisyOverlap(t *testing.T) {
-	e := NewBandwidthEstimator(EstimatorConfig{})
-	at := int64(0)
-	add := func(isr float64, c bool) { at++; e.Add(obsAt(at, isr, c)) }
-	// Mostly clean split at 60, with one outlier on each side.
-	for _, isr := range []float64{20, 30, 40, 50, 75} {
-		add(isr, false)
-	}
-	for _, isr := range []float64{45, 70, 80, 90, 100} {
-		add(isr, true)
-	}
-	est, _ := e.Estimate()
-	if est.Quality >= 1 || est.Quality < 0.7 {
-		t.Fatalf("quality = %v, want in [0.7,1)", est.Quality)
-	}
-	if est.Mbps < 45 || est.Mbps > 75 {
-		t.Fatalf("estimate = %v, want near 60", est.Mbps)
-	}
-}
-
-func TestEstimatorWindowByCount(t *testing.T) {
-	e := NewBandwidthEstimator(EstimatorConfig{Window: 4})
-	for i := 0; i < 10; i++ {
-		e.Add(obsAt(int64(i), float64(10+i), i%2 == 0))
-	}
-	if e.Len() != 4 {
-		t.Fatalf("Len = %d, want 4", e.Len())
-	}
-	for _, o := range e.Observations() {
-		if o.At < 6 {
-			t.Fatalf("old observation retained: %+v", o)
-		}
-	}
-}
-
-func TestEstimatorWindowByAge(t *testing.T) {
-	e := NewBandwidthEstimator(EstimatorConfig{MaxAge: 1000})
-	e.Add(obsAt(0, 10, false))
-	e.Add(obsAt(500, 20, false))
-	e.Add(obsAt(2000, 30, false)) // evicts the first two (older than 1000)
-	if e.Len() != 1 {
-		t.Fatalf("Len = %d, want 1 (age eviction)", e.Len())
-	}
-	// Old estimates fade: only the survivors matter.
-	est, _ := e.Estimate()
-	if est.Mbps != 30 {
-		t.Fatalf("estimate = %v", est.Mbps)
-	}
-}
-
-func TestEstimatorTracksStep(t *testing.T) {
-	// Available bandwidth steps from 90 down to 30: after the window turns
-	// over, the estimate must follow.
-	e := NewBandwidthEstimator(EstimatorConfig{Window: 16})
-	at := int64(0)
-	for i := 0; i < 16; i++ {
-		at++
-		e.Add(obsAt(at, 85, false)) // plenty of headroom at 85
-	}
-	est, _ := e.Estimate()
-	if est.Mbps < 85 {
-		t.Fatalf("initial estimate = %v", est.Mbps)
-	}
-	for i := 0; i < 8; i++ {
-		at++
-		e.Add(obsAt(at, 25, false))
-		at++
-		e.Add(obsAt(at, 40, true)) // now 40 is already congested
-	}
-	est, _ = e.Estimate()
-	if est.Mbps < 25 || est.Mbps > 40 {
-		t.Fatalf("post-step estimate = %v, want in (25,40)", est.Mbps)
-	}
-}
-
-// TestEstimatorBoundsProperty: the estimate always lies within the window's
-// ISR range, whatever the observation mix.
-func TestEstimatorBoundsProperty(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		e := NewBandwidthEstimator(EstimatorConfig{})
-		n := 1 + rng.Intn(40)
-		min, max := 1e18, -1.0
-		for i := 0; i < n; i++ {
-			isr := 1 + rng.Float64()*999
-			if isr < min {
-				min = isr
-			}
-			if isr > max {
-				max = isr
-			}
-			e.Add(obsAt(int64(i), isr, rng.Float64() < 0.5))
-		}
-		est, ok := e.Estimate()
-		if !ok {
-			return false
-		}
-		return est.Mbps >= min-1e-9 && est.Mbps <= max+1e-9 &&
-			est.Quality >= 0 && est.Quality <= 1 && est.Count == e.Len()
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestEstimateKindString(t *testing.T) {
-	if EstimateExact.String() != "exact" ||
-		EstimateLowerBound.String() != "lower-bound" ||
-		EstimateUpperBound.String() != "upper-bound" {
-		t.Fatal("EstimateKind.String broken")
-	}
-}
+import "testing"
 
 func TestLatencyEstimator(t *testing.T) {
 	l := NewLatencyEstimator(EstimatorConfig{})

@@ -7,6 +7,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"freemeasure/internal/estimator"
 	"freemeasure/internal/pcap"
 	"freemeasure/internal/wren/coord"
 )
@@ -14,7 +15,6 @@ import (
 // Config assembles the online monitor's tunables.
 type Config struct {
 	Scan      ScanConfig
-	SIC       SICConfig
 	Estimator EstimatorConfig
 	// DeferLimit bounds how long a train waits for its ACKs before being
 	// abandoned (ns, default 2 s). ACKs lost to congestion would otherwise
@@ -32,7 +32,6 @@ type Config struct {
 
 func (c Config) withDefaults() Config {
 	c.Scan = c.Scan.withDefaults()
-	c.SIC = c.SIC.withDefaults()
 	c.Estimator = c.Estimator.withDefaults()
 	if c.DeferLimit == 0 {
 		c.DeferLimit = 2_000_000_000
@@ -60,9 +59,9 @@ type flowStream struct {
 
 // pathState aggregates all flows to one remote endpoint.
 type pathState struct {
-	bw     *BandwidthEstimator
+	bw     *estimator.SIC
 	lat    *LatencyEstimator
-	recent []Observation // capped log for the SOAP GetObservations call
+	recent []estimator.Observation // capped log for the SOAP GetObservations call
 }
 
 // monitorShard holds the flows and paths whose remote endpoint hashes to
@@ -96,18 +95,18 @@ type Monitor struct {
 }
 
 // TrainHook observes every train the analysis resolves with measurement
-// data attached: status is AnalyzeOK or AnalyzeAmbiguous, obs carries the
-// train's rate/length/MinRTT (the Congested field is meaningless for
-// ambiguous trains), and rtts holds the per-packet round-trip times
-// (entries < 0 are unmatched). The hook runs with the owning shard locked:
-// it must be fast and must not call back into the Monitor. The slices are
-// only valid for the duration of the call.
-type TrainHook func(remote string, tr *Train, rtts []int64, obs Observation, status AnalyzeStatus)
+// data attached — a verdict or an ambiguous trend — with the train's
+// per-packet departures and RTTs filled in (RTT entries < 0 are
+// unmatched). The hook runs with the owning shard locked: it must be fast
+// and must not call back into the Monitor. The slices are fresh for each
+// call and the hook may keep them.
+type TrainHook func(remote string, o estimator.Observation)
 
 // SetTrainHook installs fn as the monitor's train tap, giving external
-// estimators the exact same Wren feed the built-in SIC estimator consumes.
-// Pass nil to remove. Per-packet RTTs are recomputed for the hook only
-// while one is installed, so an un-tapped monitor pays nothing.
+// estimators the exact same Wren feed the per-path SIC consumes: an
+// estimator.Set is attached with mon.SetTrainHook(set.Observe). Pass nil
+// to remove. Per-packet detail is built for the hook only while one is
+// installed, so an un-tapped monitor pays nothing.
 func (m *Monitor) SetTrainHook(fn TrainHook) {
 	if fn == nil {
 		m.hook.Store(nil)
@@ -258,7 +257,7 @@ func (sh *monitorShard) path(cfg *Config, remote string) *pathState {
 	ps, ok := sh.paths[remote]
 	if !ok {
 		ps = &pathState{
-			bw:  NewBandwidthEstimator(cfg.Estimator),
+			bw:  estimator.NewSIC(estimator.Config{Window: cfg.Estimator.Window, MaxAge: cfg.Estimator.MaxAge}),
 			lat: NewLatencyEstimator(cfg.Estimator),
 		}
 		sh.paths[remote] = ps
@@ -301,10 +300,15 @@ func (m *Monitor) pollFlow(sh *monitorShard, met *MonitorMetrics, lastAt int64, 
 	hook := m.hook.Load()
 	for _, tr := range trains {
 		tr := tr
-		obs, status := AnalyzeTrain(&tr, fs.acks, m.cfg.SIC)
+		obs, status := AnalyzeTrain(&tr, fs.acks)
 		if hook != nil && (status == AnalyzeOK || status == AnalyzeAmbiguous) {
-			rtts, _ := MatchRTTs(&tr, fs.acks)
-			(*hook)(key.Remote, &tr, rtts, obs, status)
+			o := obs
+			o.RTTs, _ = MatchRTTs(&tr, fs.acks)
+			o.Departures = make([]int64, len(tr.Packets))
+			for i, p := range tr.Packets {
+				o.Departures[i] = p.At
+			}
+			(*hook)(key.Remote, o)
 		}
 		// A train counts as formed when it resolves (observation, discard,
 		// or abandonment) — deferred trains are rescanned next poll and
@@ -312,7 +316,7 @@ func (m *Monitor) pollFlow(sh *monitorShard, met *MonitorMetrics, lastAt int64, 
 		switch status {
 		case AnalyzeOK:
 			ps := sh.path(&m.cfg, key.Remote)
-			ps.bw.Add(obs)
+			ps.bw.Observe(obs)
 			ps.lat.Add(obs.At, obs.MinRTT)
 			ps.recent = append(ps.recent, obs)
 			if len(ps.recent) > 4*m.cfg.Estimator.Window {
@@ -371,15 +375,15 @@ func indexOf(outs []pcap.Record, at int64) int {
 }
 
 // AvailableBandwidth returns the current estimate toward remote.
-func (m *Monitor) AvailableBandwidth(remote string) (Estimate, bool) {
+func (m *Monitor) AvailableBandwidth(remote string) (estimator.Estimate, bool) {
 	sh := m.shardFor(remote)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
 	ps, ok := sh.paths[remote]
 	if !ok {
-		return Estimate{}, false
+		return estimator.Estimate{}, false
 	}
-	return ps.bw.Estimate()
+	return ps.bw.Estimate(0)
 }
 
 // Latency returns the one-way latency estimate toward remote in ms.
@@ -415,7 +419,7 @@ func (m *Monitor) Remotes() []string {
 type PathObservation struct {
 	Origin    string
 	Remote    string
-	Estimate  Estimate // Count 0 when no observation is windowed
+	Estimate  estimator.Estimate // Count 0 when no observation is windowed
 	LatencyMs float64
 	LatencyOK bool
 	At        int64 // newest SIC observation backing the estimate (ns), 0 if unknown
@@ -446,11 +450,9 @@ func (m *Monitor) Scan() []PathObservation {
 		sh.mu.Lock()
 		for remote, ps := range sh.paths {
 			po := PathObservation{Origin: m.local, Remote: remote}
-			po.Estimate, _ = ps.bw.Estimate()
+			po.Estimate, _ = ps.bw.Estimate(0)
 			po.LatencyMs, po.LatencyOK = ps.lat.LatencyMs()
-			if n := len(ps.recent); n > 0 {
-				po.At = ps.recent[n-1].At
-			}
+			po.At = po.Estimate.At
 			out = append(out, po)
 		}
 		sh.mu.Unlock()
@@ -461,7 +463,7 @@ func (m *Monitor) Scan() []PathObservation {
 
 // Observations returns the logged observations for remote newer than
 // sinceNs, oldest first — the stream the SOAP interface serves to clients.
-func (m *Monitor) Observations(remote string, sinceNs int64) []Observation {
+func (m *Monitor) Observations(remote string, sinceNs int64) []estimator.Observation {
 	sh := m.shardFor(remote)
 	sh.mu.Lock()
 	defer sh.mu.Unlock()
@@ -469,7 +471,7 @@ func (m *Monitor) Observations(remote string, sinceNs int64) []Observation {
 	if !ok {
 		return nil
 	}
-	var out []Observation
+	var out []estimator.Observation
 	for _, o := range ps.recent {
 		if o.At > sinceNs {
 			out = append(out, o)

@@ -3,6 +3,7 @@ package wren
 import (
 	"testing"
 
+	"freemeasure/internal/estimator"
 	"freemeasure/internal/pcap"
 	"freemeasure/internal/simnet"
 	"freemeasure/internal/tcpsim"
@@ -25,7 +26,7 @@ func TestMonitorSyntheticFlow(t *testing.T) {
 	if !ok {
 		t.Fatal("no estimate for remote b")
 	}
-	if est.Kind != EstimateUpperBound {
+	if est.Kind != estimator.UpperBound {
 		t.Fatalf("kind = %v, want upper-bound (single congested train)", est.Kind)
 	}
 	lat, ok := m.Latency("b")
@@ -41,13 +42,11 @@ func TestMonitorTrainHookSeesResolvedTrains(t *testing.T) {
 	m := NewMonitor("a", Config{})
 	type tap struct {
 		remote string
-		rtts   int
-		status AnalyzeStatus
-		obs    Observation
+		obs    estimator.Observation
 	}
 	var taps []tap
-	m.SetTrainHook(func(remote string, tr *Train, rtts []int64, obs Observation, status AnalyzeStatus) {
-		taps = append(taps, tap{remote, len(rtts), status, obs})
+	m.SetTrainHook(func(remote string, o estimator.Observation) {
+		taps = append(taps, tap{remote, o})
 	})
 	outs := mkOuts(0, 20, 100*us, 1500, 0)
 	acks := mkAcks(outs, func(i int) int64 { return 1000*us + int64(i)*50*us })
@@ -62,11 +61,12 @@ func TestMonitorTrainHookSeesResolvedTrains(t *testing.T) {
 		t.Fatalf("hook fired %d times, want 1", len(taps))
 	}
 	got := taps[0]
-	if got.remote != "b" || got.status != AnalyzeOK || !got.obs.Congested {
+	if got.remote != "b" || got.obs.Ambiguous || !got.obs.Congested {
 		t.Fatalf("tap = %+v", got)
 	}
-	if got.rtts != 20 {
-		t.Fatalf("hook saw %d rtts, want 20 (one per packet)", got.rtts)
+	if len(got.obs.RTTs) != 20 || len(got.obs.Departures) != 20 {
+		t.Fatalf("hook saw %d rtts and %d departures, want 20 (one per packet)",
+			len(got.obs.RTTs), len(got.obs.Departures))
 	}
 	// Removing the hook stops the tap.
 	m.SetTrainHook(nil)
@@ -101,7 +101,7 @@ func TestMonitorDefersUntilAcksArrive(t *testing.T) {
 		t.Fatalf("Poll with acks produced %d", n)
 	}
 	est, ok := m.AvailableBandwidth("b")
-	if !ok || est.Kind != EstimateLowerBound {
+	if !ok || est.Kind != estimator.LowerBound {
 		t.Fatalf("est = %+v ok=%v", est, ok)
 	}
 }
@@ -215,7 +215,7 @@ func lanEqualAccess() (*simnet.Sim, *simnet.Dumbbell) {
 
 // runWrenScenario drives the monitored application against cross traffic
 // and returns Wren's final estimate toward the receiver.
-func runWrenScenario(t *testing.T, crossMbps float64, seconds float64) Estimate {
+func runWrenScenario(t *testing.T, crossMbps float64, seconds float64) estimator.Estimate {
 	t.Helper()
 	s, d := lanEqualAccess()
 	if crossMbps > 0 {

@@ -10,6 +10,7 @@ import (
 	"testing"
 	"time"
 
+	"freemeasure/internal/estimator"
 	"freemeasure/internal/obs"
 	"freemeasure/internal/pcap"
 )
@@ -70,7 +71,7 @@ func TestRepositoryEndToEnd(t *testing.T) {
 		t.Fatal("origin monitor missing")
 	}
 	est, ok := m.AvailableBandwidth("b")
-	if !ok || est.Kind != EstimateUpperBound {
+	if !ok || est.Kind != estimator.UpperBound {
 		t.Fatalf("est = %+v ok=%v", est, ok)
 	}
 	if got := repo.Origins(); len(got) != 1 || got[0] != "origin-1" {

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"time"
 
+	"freemeasure/internal/estimator"
 	"freemeasure/internal/soap"
 )
 
@@ -116,7 +117,7 @@ func NewService(m *Monitor) *soap.Server {
 		resp := &ObservationsResponse{}
 		for _, o := range obs {
 			resp.Observations = append(resp.Observations, ObservationXML{
-				At: o.At, ISRMbps: o.ISRMbps, Congested: o.Congested,
+				At: o.At, ISRMbps: o.RateMbps, Congested: o.Congested,
 				TrainLen: o.TrainLen, MinRTTNs: o.MinRTT,
 			})
 		}
@@ -144,19 +145,19 @@ func (c *Client) SetTimeout(d time.Duration) {
 }
 
 // AvailableBandwidth queries the estimate toward remote.
-func (c *Client) AvailableBandwidth(remote string) (Estimate, bool, error) {
+func (c *Client) AvailableBandwidth(remote string) (estimator.Estimate, bool, error) {
 	var resp AvailBWResponse
 	if err := c.soap.Call(&AvailBWRequest{Remote: remote}, &resp); err != nil {
-		return Estimate{}, false, err
+		return estimator.Estimate{}, false, err
 	}
-	kind := EstimateExact
+	kind := estimator.Exact
 	switch resp.Kind {
-	case EstimateLowerBound.String():
-		kind = EstimateLowerBound
-	case EstimateUpperBound.String():
-		kind = EstimateUpperBound
+	case estimator.LowerBound.String():
+		kind = estimator.LowerBound
+	case estimator.UpperBound.String():
+		kind = estimator.UpperBound
 	}
-	return Estimate{Mbps: resp.Mbps, Kind: kind, Lo: resp.Lo, Hi: resp.Hi,
+	return estimator.Estimate{Mbps: resp.Mbps, Kind: kind, Lo: resp.Lo, Hi: resp.Hi,
 		Count: resp.Count, Quality: resp.Quality}, resp.Found, nil
 }
 
@@ -179,15 +180,15 @@ func (c *Client) Remotes() ([]string, error) {
 }
 
 // Observations fetches raw observations newer than sinceNs.
-func (c *Client) Observations(remote string, sinceNs int64) ([]Observation, error) {
+func (c *Client) Observations(remote string, sinceNs int64) ([]estimator.Observation, error) {
 	var resp ObservationsResponse
 	if err := c.soap.Call(&ObservationsRequest{Remote: remote, SinceNs: sinceNs}, &resp); err != nil {
 		return nil, err
 	}
-	var out []Observation
+	var out []estimator.Observation
 	for _, o := range resp.Observations {
-		out = append(out, Observation{
-			At: o.At, ISRMbps: o.ISRMbps, Congested: o.Congested,
+		out = append(out, estimator.Observation{
+			At: o.At, RateMbps: o.ISRMbps, Congested: o.Congested,
 			TrainLen: o.TrainLen, MinRTT: o.MinRTTNs,
 		})
 	}

@@ -2,8 +2,10 @@ package wren
 
 import (
 	"net/http/httptest"
+	"reflect"
 	"testing"
 
+	"freemeasure/internal/estimator"
 	"freemeasure/internal/pcap"
 )
 
@@ -40,10 +42,11 @@ func TestServiceAvailableBandwidth(t *testing.T) {
 		t.Fatalf("err=%v found=%v", err, found)
 	}
 	want, _ := m.AvailableBandwidth("b")
+	want.At = 0 // the wire form carries no observation time
 	if est != want {
 		t.Fatalf("client est = %+v, server est = %+v", est, want)
 	}
-	if est.Kind != EstimateExact {
+	if est.Kind != estimator.Exact {
 		t.Fatalf("kind = %v (one flat low train, one rising high train)", est.Kind)
 	}
 	if est.Mbps < 12 || est.Mbps > 120 {
@@ -99,7 +102,7 @@ func TestServiceObservations(t *testing.T) {
 		t.Fatalf("len = %d, want %d", len(obs), len(want))
 	}
 	for i := range obs {
-		if obs[i] != want[i] {
+		if !reflect.DeepEqual(obs[i], want[i]) {
 			t.Fatalf("obs[%d] = %+v, want %+v", i, obs[i], want[i])
 		}
 	}

@@ -3,18 +3,9 @@ package wren
 import (
 	"sort"
 
+	"freemeasure/internal/estimator"
 	"freemeasure/internal/pcap"
 )
-
-// Observation is one self-induced-congestion measurement: a train's rate
-// and whether the path showed congestion at that rate.
-type Observation struct {
-	At        int64   // train end timestamp (ns)
-	ISRMbps   float64 // initial sending rate
-	Congested bool    // RTTs increased across the train
-	TrainLen  int
-	MinRTT    int64 // smallest per-packet RTT in the train (ns)
-}
 
 // AnalyzeStatus classifies the outcome of analyzing one train.
 type AnalyzeStatus int
@@ -30,45 +21,27 @@ const (
 	AnalyzeDiscard
 	// AnalyzeAmbiguous: the RTT trend was neither clearly increasing nor
 	// clearly flat. The returned Observation carries valid rate and RTT
-	// fields but no congestion verdict; SIC ignores such trains, while
-	// estimators with their own trend analysis may still use them.
+	// fields, Ambiguous set and no congestion verdict; SIC ignores such
+	// trains, while estimators with their own trend analysis may still
+	// use them.
 	AnalyzeAmbiguous
 )
 
-// SICConfig tunes the congestion trend test. The two metrics are the
-// pairwise comparison test (PCT: fraction of successive RTT increases) and
-// the pairwise difference test (PDT: net RTT change normalized by total
+// The SIC test's thresholds. The two trend metrics are the pairwise
+// comparison test (PCT: fraction of successive RTT increases) and the
+// pairwise difference test (PDT: net RTT change normalized by total
 // variation), the standard self-induced-congestion statistics.
-type SICConfig struct {
-	PCTCongested   float64 // >= declares increasing (default 0.66)
-	PCTClear       float64 // <= declares flat (default 0.54)
-	PDTCongested   float64 // >= declares increasing (default 0.50)
-	PDTClear       float64 // <= declares flat (default 0.30)
-	MaxRTTInflate  float64 // discard trains whose max/min RTT exceeds this (default 20)
-	MinMatchedFrac float64 // required fraction of packets with RTT samples (default 0.9)
-}
-
-func (c SICConfig) withDefaults() SICConfig {
-	if c.PCTCongested == 0 {
-		c.PCTCongested = 0.66 // pathload's increasing-trend threshold
-	}
-	if c.PCTClear == 0 {
-		c.PCTClear = 0.54 // pathload's no-trend threshold
-	}
-	if c.PDTCongested == 0 {
-		c.PDTCongested = 0.50
-	}
-	if c.PDTClear == 0 {
-		c.PDTClear = 0.30
-	}
-	if c.MaxRTTInflate == 0 {
-		c.MaxRTTInflate = 20
-	}
-	if c.MinMatchedFrac == 0 {
-		c.MinMatchedFrac = 0.9
-	}
-	return c
-}
+const (
+	pctCongested = 0.66 // PCT >= declares increasing (pathload's increasing-trend threshold)
+	pctClear     = 0.54 // PCT <= declares flat (pathload's no-trend threshold)
+	pdtCongested = 0.50 // PDT >= declares increasing
+	pdtClear     = 0.30 // PDT <= declares flat
+	// maxRTTInflate discards trains whose max/min RTT exceeds it.
+	maxRTTInflate = 20
+	// MinMatchedFrac is the fraction of a train's packets that must have
+	// an RTT sample before the train is judged.
+	MinMatchedFrac = 0.9
+)
 
 // MatchRTTs computes per-packet round-trip times for a train against the
 // flow's time-ordered cumulative ACK stream. A data packet's RTT is the
@@ -116,14 +89,10 @@ func MaxDupAckRun(acks []pcap.Record, from, to int64) int {
 	return maxRun + 1
 }
 
-// TrendStats holds the two SIC trend metrics for a train's RTT series.
-type TrendStats struct {
-	PCT float64 // fraction of successive increases
-	PDT float64 // (last-first) / total variation
-}
-
-// Trend computes PCT and PDT over the RTT series (entries < 0 are skipped).
-func Trend(rtts []int64) TrendStats {
+// trend computes the two SIC trend metrics over the RTT series (entries
+// < 0 are skipped): PCT, the fraction of successive increases, and PDT,
+// (last-first) / total variation.
+func trend(rtts []int64) (pct, pdt float64) {
 	var inc, cmp int
 	var first, last, prev int64 = -1, -1, -1
 	var variation float64
@@ -148,31 +117,44 @@ func Trend(rtts []int64) TrendStats {
 		prev = r
 		last = r
 	}
-	st := TrendStats{}
 	if cmp > 0 {
-		st.PCT = float64(inc) / float64(cmp)
+		pct = float64(inc) / float64(cmp)
 	}
 	if variation > 0 {
-		st.PDT = float64(last-first) / variation
+		pdt = float64(last-first) / variation
 	}
-	return st
+	return pct, pdt
+}
+
+// Verdict applies the SIC trend test to a train's RTT series (entries < 0
+// are skipped): congested when the trend clearly rises, clear when it is
+// clearly flat, ambiguous otherwise.
+func Verdict(rtts []int64) (congested, ambiguous bool) {
+	pct, pdt := trend(rtts)
+	switch {
+	case pct >= pctCongested || pdt >= pdtCongested:
+		return true, false
+	case pct <= pctClear && pdt <= pdtClear:
+		return false, false
+	}
+	return false, true
 }
 
 // AnalyzeTrain runs the full SIC analysis of one train. acks must be the
-// flow's ACK records in arrival order.
-func AnalyzeTrain(train *Train, acks []pcap.Record, cfg SICConfig) (Observation, AnalyzeStatus) {
-	cfg = cfg.withDefaults()
+// flow's ACK records in arrival order. The Observation carries no
+// per-packet detail.
+func AnalyzeTrain(train *Train, acks []pcap.Record) (estimator.Observation, AnalyzeStatus) {
 	// Retransmissions reorder the sequence space and poison both the ISR
 	// and the RTT matching; skip such trains outright.
 	for i := 1; i < len(train.Packets); i++ {
 		if train.Packets[i].Seq < train.Packets[i-1].Seq+int64(train.Packets[i-1].Len) {
-			return Observation{}, AnalyzeDiscard
+			return estimator.Observation{}, AnalyzeDiscard
 		}
 	}
 	rtts, unmatched := MatchRTTs(train, acks)
 	matchedFrac := 1 - float64(unmatched)/float64(len(train.Packets))
-	if matchedFrac < cfg.MinMatchedFrac {
-		return Observation{}, AnalyzeWaiting
+	if matchedFrac < MinMatchedFrac {
+		return estimator.Observation{}, AnalyzeWaiting
 	}
 	var minRTT, maxRTT int64 = -1, -1
 	lastAck := train.End
@@ -190,12 +172,14 @@ func AnalyzeTrain(train *Train, acks []pcap.Record, cfg SICConfig) (Observation,
 			lastAck = at
 		}
 	}
-	if minRTT <= 0 {
-		return Observation{}, AnalyzeDiscard
+	// A train whose packets all left at one instant has no rate to judge.
+	isr := train.ISRMbps()
+	if minRTT <= 0 || isr <= 0 {
+		return estimator.Observation{}, AnalyzeDiscard
 	}
-	obs := Observation{
+	obs := estimator.Observation{
 		At:       train.End,
-		ISRMbps:  train.ISRMbps(),
+		RateMbps: isr,
 		TrainLen: train.Len(),
 		MinRTT:   minRTT,
 	}
@@ -204,28 +188,22 @@ func AnalyzeTrain(train *Train, acks []pcap.Record, cfg SICConfig) (Observation,
 	// on a saturated droptail queue delay stops rising and drops take
 	// over, so loss must count as congestion alongside the RTT trend.
 	loss := MaxDupAckRun(acks, train.Start, lastAck) >= 3
-	if float64(maxRTT) > cfg.MaxRTTInflate*float64(minRTT) {
-		// An RTO or loss recovery inflated a sample by an order of
-		// magnitude; the trend is meaningless. With a loss signal the
-		// verdict is still clear; otherwise discard.
-		if loss {
-			obs.Congested = true
-			return obs, AnalyzeOK
-		}
-		return Observation{}, AnalyzeDiscard
-	}
-	st := Trend(rtts)
 	switch {
-	case loss || st.PCT >= cfg.PCTCongested || st.PDT >= cfg.PDTCongested:
+	case loss:
 		obs.Congested = true
-		return obs, AnalyzeOK
-	case st.PCT <= cfg.PCTClear && st.PDT <= cfg.PDTClear:
-		obs.Congested = false
-		return obs, AnalyzeOK
+	case float64(maxRTT) > maxRTTInflate*float64(minRTT):
+		// An RTO or loss recovery inflated a sample by an order of
+		// magnitude and no loss signal gives the verdict: the trend is
+		// meaningless.
+		return estimator.Observation{}, AnalyzeDiscard
 	default:
-		// Ambiguous trend: neither clearly increasing nor clearly flat.
-		// Hand the filled observation back anyway — the Congested field is
-		// meaningless, but the rate, length, and MinRTT are sound.
-		return obs, AnalyzeAmbiguous
+		obs.Congested, obs.Ambiguous = Verdict(rtts)
+		if obs.Ambiguous {
+			// Neither clearly increasing nor clearly flat: hand the filled
+			// observation back anyway — the rate, length, and MinRTT are
+			// sound.
+			return obs, AnalyzeAmbiguous
+		}
 	}
+	return obs, AnalyzeOK
 }

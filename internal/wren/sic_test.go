@@ -81,41 +81,41 @@ func TestMatchRTTsMissingAcks(t *testing.T) {
 
 func TestTrendIncreasing(t *testing.T) {
 	rtts := []int64{100, 110, 120, 130, 140, 150}
-	st := Trend(rtts)
-	if st.PCT != 1 || st.PDT != 1 {
-		t.Fatalf("trend = %+v, want PCT=1 PDT=1", st)
+	pct, pdt := trend(rtts)
+	if pct != 1 || pdt != 1 {
+		t.Fatalf("trend = %v, %v, want PCT=1 PDT=1", pct, pdt)
 	}
 }
 
 func TestTrendFlatNoisy(t *testing.T) {
 	rtts := []int64{100, 102, 99, 101, 100, 98, 101, 100}
-	st := Trend(rtts)
-	if st.PCT > 0.55 {
-		t.Fatalf("PCT = %v for flat noise", st.PCT)
+	pct, pdt := trend(rtts)
+	if pct > 0.55 {
+		t.Fatalf("PCT = %v for flat noise", pct)
 	}
-	if math.Abs(st.PDT) > 0.3 {
-		t.Fatalf("PDT = %v for flat noise", st.PDT)
+	if math.Abs(pdt) > 0.3 {
+		t.Fatalf("PDT = %v for flat noise", pdt)
 	}
 }
 
 func TestTrendSkipsUnmatched(t *testing.T) {
 	rtts := []int64{100, -1, 120, -1, 140}
-	st := Trend(rtts)
-	if st.PCT != 1 || st.PDT != 1 {
-		t.Fatalf("trend with gaps = %+v", st)
+	pct, pdt := trend(rtts)
+	if pct != 1 || pdt != 1 {
+		t.Fatalf("trend with gaps = %v, %v", pct, pdt)
 	}
 }
 
 func TestTrendDegenerate(t *testing.T) {
-	if st := Trend(nil); st.PCT != 0 || st.PDT != 0 {
-		t.Fatalf("empty trend = %+v", st)
+	if pct, pdt := trend(nil); pct != 0 || pdt != 0 {
+		t.Fatalf("empty trend = %v, %v", pct, pdt)
 	}
-	if st := Trend([]int64{100}); st.PCT != 0 || st.PDT != 0 {
-		t.Fatalf("singleton trend = %+v", st)
+	if pct, pdt := trend([]int64{100}); pct != 0 || pdt != 0 {
+		t.Fatalf("singleton trend = %v, %v", pct, pdt)
 	}
 	// Constant series: no variation, PDT must not divide by zero.
-	if st := Trend([]int64{5, 5, 5}); st.PDT != 0 {
-		t.Fatalf("constant trend = %+v", st)
+	if _, pdt := trend([]int64{5, 5, 5}); pdt != 0 {
+		t.Fatalf("constant trend PDT = %v", pdt)
 	}
 }
 
@@ -123,7 +123,7 @@ func TestAnalyzeTrainCongested(t *testing.T) {
 	outs := mkOuts(0, 10, 100*us, 1500, 0)
 	acks := mkAcks(outs, func(i int) int64 { return 1000*us + int64(i)*80*us })
 	tr := mustTrain(t, outs)
-	obs, status := AnalyzeTrain(&tr, acks, SICConfig{})
+	obs, status := AnalyzeTrain(&tr, acks)
 	if status != AnalyzeOK {
 		t.Fatalf("status = %v", status)
 	}
@@ -140,7 +140,7 @@ func TestAnalyzeTrainUncongested(t *testing.T) {
 	jitter := []int64{3, 2, 3, 1, 2, 0, 1, -1, 0, -2}
 	acks := mkAcks(outs, func(i int) int64 { return 1000*us + jitter[i]*us })
 	tr := mustTrain(t, outs)
-	obs, status := AnalyzeTrain(&tr, acks, SICConfig{})
+	obs, status := AnalyzeTrain(&tr, acks)
 	if status != AnalyzeOK {
 		t.Fatalf("status = %v", status)
 	}
@@ -153,7 +153,7 @@ func TestAnalyzeTrainWaitsForAcks(t *testing.T) {
 	outs := mkOuts(0, 10, 100*us, 1500, 0)
 	acks := mkAcks(outs[:5], func(i int) int64 { return 1000 * us })
 	tr := mustTrain(t, outs)
-	_, status := AnalyzeTrain(&tr, acks, SICConfig{})
+	_, status := AnalyzeTrain(&tr, acks)
 	if status != AnalyzeWaiting {
 		t.Fatalf("status = %v, want AnalyzeWaiting", status)
 	}
@@ -167,7 +167,7 @@ func TestAnalyzeTrainDiscardsRetransmission(t *testing.T) {
 	if len(trains) != 1 {
 		t.Fatalf("trains = %d", len(trains))
 	}
-	_, status := AnalyzeTrain(&trains[0], acks, SICConfig{})
+	_, status := AnalyzeTrain(&trains[0], acks)
 	if status != AnalyzeDiscard {
 		t.Fatalf("status = %v, want AnalyzeDiscard", status)
 	}
@@ -182,8 +182,20 @@ func TestAnalyzeTrainDiscardsRTOInflation(t *testing.T) {
 		return 1000 * us
 	})
 	tr := mustTrain(t, outs)
-	_, status := AnalyzeTrain(&tr, acks, SICConfig{})
+	_, status := AnalyzeTrain(&tr, acks)
 	if status != AnalyzeDiscard {
+		t.Fatalf("status = %v, want AnalyzeDiscard", status)
+	}
+}
+
+// TestAnalyzeTrainDiscardsZeroSpan: a burst stamped with one timestamp
+// (a coarse capture clock) has no sending rate; it must not reach the SIC
+// window as a 0 Mbit/s verdict.
+func TestAnalyzeTrainDiscardsZeroSpan(t *testing.T) {
+	outs := mkOuts(0, 10, 0, 1500, 0)
+	acks := mkAcks(outs, func(i int) int64 { return 1000*us + int64(i)*80*us })
+	tr := mustTrain(t, outs)
+	if _, status := AnalyzeTrain(&tr, acks); status != AnalyzeDiscard {
 		t.Fatalf("status = %v, want AnalyzeDiscard", status)
 	}
 }
@@ -195,13 +207,13 @@ func TestAnalyzeTrainAmbiguousKeepsObservation(t *testing.T) {
 	rtts := []int64{1000, 1100, 1000, 1100, 1000, 1100, 1050, 1000, 1100, 1150}
 	acks := mkAcks(outs, func(i int) int64 { return rtts[i] * us })
 	tr := mustTrain(t, outs)
-	obs, status := AnalyzeTrain(&tr, acks, SICConfig{})
-	if status != AnalyzeAmbiguous {
-		t.Fatalf("status = %v, want AnalyzeAmbiguous", status)
+	obs, status := AnalyzeTrain(&tr, acks)
+	if status != AnalyzeAmbiguous || !obs.Ambiguous {
+		t.Fatalf("status = %v ambiguous = %v, want AnalyzeAmbiguous", status, obs.Ambiguous)
 	}
 	// No verdict, but the measurement fields must still be filled so
 	// downstream estimators with their own trend analysis can use them.
-	if obs.TrainLen != 10 || obs.ISRMbps <= 0 || obs.MinRTT != 1000*us {
+	if obs.TrainLen != 10 || obs.RateMbps <= 0 || obs.MinRTT != 1000*us {
 		t.Fatalf("ambiguous obs = %+v, want filled fields", obs)
 	}
 }
