@@ -113,11 +113,13 @@ func currentMapping(p *vadapt.Problem, spec *problemSpec) ([]topology.NodeID, er
 }
 
 // runLive senses the problem from the hosts' Wren SOAP services and runs
-// the sense->decide loop, logging each decided plan (dry-run: vadaptctl
-// has no overlay to reconfigure). The spec supplies the host list, VM
-// count, demands and current mapping; bandwidth and latency come from the
-// live measurements. With metricsAddr the controller's operator surface
-// (metrics, pprof, /debug/events, /debug/state) is served for the run.
+// vnetd's damped loop, one Controller.Tick per interval, logging each
+// decided plan (dry-run: vadaptctl has no overlay to reconfigure). A tick
+// within 2 × interval of an applied plan prints "held" and runs no cycle.
+// The spec supplies the host list, VM count, demands and current mapping;
+// bandwidth and latency come from the live measurements. With metricsAddr
+// the controller's operator surface (metrics, pprof, /debug/events,
+// /debug/state) is served for the run.
 func runLive(p *vadapt.Problem, spec *problemSpec, obj vadapt.Objective,
 	endpoints, metricsAddr string, interval time.Duration, cycles, iters int, seed int64) error {
 	eps := strings.Split(endpoints, ",")
@@ -171,8 +173,11 @@ func runLive(p *vadapt.Problem, spec *problemSpec, obj vadapt.Objective,
 	tick := time.NewTicker(interval)
 	defer tick.Stop()
 	for n := 0; cycles == 0 || n < cycles; n++ {
-		res := ctl.RunCycle()
-		fmt.Println(res.Summary())
+		if res, ran := ctl.Tick(time.Now()); ran {
+			fmt.Println(res.Summary())
+		} else {
+			fmt.Printf("held (plan applied less than %v ago)\n", 2*interval)
+		}
 		if cycles != 0 && n == cycles-1 {
 			break
 		}

@@ -47,7 +47,7 @@ func main() {
 		report   = flag.Duration("report", 0, "push VTTIF/Wren control reports to the -default-route peer at this interval (0 = off)")
 		hub      = flag.Bool("hub", false, "collect peers' control reports into a global view (the Proxy role)")
 		ctrl     = flag.Bool("controller", false, "run the adaptation control loop over the hub's global view (implies -hub; plans are logged, not applied)")
-		ctrlInt  = flag.Duration("controller-interval", 2*time.Second, "controller cycle period")
+		ctrlInt  = flag.Duration("controller-interval", 2*time.Second, "controller cycle period; an applied plan holds the loop down for twice this")
 		ctrlMin  = flag.Float64("controller-min-improvement", 0.1, "hysteresis: fractional objective gain required before acting")
 		ctrlAbs  = flag.Float64("controller-min-absolute", 1.0, "hysteresis: absolute objective gain required before acting")
 		estFuse  = flag.Duration("est-fusion", 0, "fuse active probe estimates into the controller's view when passive measurements are older than this; one probe train in flight at the hub, each peer probed at most once per interval (0 = passive only; requires -controller)")
@@ -343,7 +343,7 @@ func main() {
 		}
 		ctl.Start()
 		defer ctl.Stop()
-		logger.Info("controller running", "interval", *ctrlInt)
+		logger.Info("controller running", "interval", *ctrlInt, "hold_down", 2**ctrlInt)
 	}
 
 	go func() {

@@ -354,6 +354,52 @@ func TestCLIVadaptctl(t *testing.T) {
 	}
 }
 
+// TestCLIVadaptctlLive: vadaptctl -live senses two vnetd SOAP endpoints
+// and runs vnetd's damped loop: one outcome line per tick, and a tick is
+// held only after a tick that applied a plan.
+func TestCLIVadaptctlLive(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	listenA, soapA := freePort(t), freePort(t)
+	startTool(t, "vnetd", "-name", "a", "-listen", listenA, "-soap", soapA)
+	listenB, soapB := freePort(t), freePort(t)
+	startTool(t, "vnetd", "-name", "b", "-listen", listenB, "-soap", soapB)
+	waitTCP(t, soapA)
+	waitTCP(t, soapB)
+
+	spec := `{
+	  "hosts": ["a", "b"],
+	  "vms": 2,
+	  "demands": [{"src": 0, "dst": 1, "rate": 5}]
+	}`
+	path := t.TempDir() + "/problem.json"
+	if err := os.WriteFile(path, []byte(spec), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	cmd := exec.Command(filepath.Join(buildTools(t), "vadaptctl"),
+		"-live", "http://"+soapA+"/,http://"+soapB+"/", "-interval", "100ms", "-cycles", "3", path)
+	var stderr strings.Builder
+	cmd.Stderr = &stderr
+	out, err := cmd.Output()
+	if err != nil {
+		t.Fatalf("vadaptctl -live: %v\nstdout:\n%s\nstderr:\n%s", err, out, stderr.String())
+	}
+	lines := strings.Split(strings.TrimSpace(string(out)), "\n")
+	if len(lines) != 3 {
+		t.Fatalf("vadaptctl -live -cycles 3 printed %d outcome lines, want 3:\n%s", len(lines), out)
+	}
+	applied := false
+	for _, l := range lines {
+		switch {
+		case strings.HasPrefix(l, "applied"):
+			applied = true
+		case strings.HasPrefix(l, "held") && !applied:
+			t.Fatalf("tick held before any plan was applied:\n%s", out)
+		}
+	}
+}
+
 // TestCLIRepositoryPipeline: vnetd -forward ships traces to wrenrepod;
 // the repository lists the origin and serves its SOAP.
 func TestCLIRepositoryPipeline(t *testing.T) {

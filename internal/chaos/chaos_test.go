@@ -67,44 +67,6 @@ func TestFakeClockAfter(t *testing.T) {
 	}
 }
 
-func TestFakeClockTickerFiresAndCoalesces(t *testing.T) {
-	c := NewFakeClock()
-	ch, stop := c.Ticker(10 * time.Millisecond)
-	defer stop()
-	// Nobody drains the channel during this advance: ticks must coalesce
-	// (capacity 1) rather than deadlock the advance.
-	c.Advance(50 * time.Millisecond)
-	n := 0
-	for {
-		select {
-		case <-ch:
-			n++
-			continue
-		default:
-		}
-		break
-	}
-	if n != 1 {
-		t.Fatalf("got %d buffered ticks, want 1 (coalesced)", n)
-	}
-	// Drained between advances, each period delivers a tick.
-	for i := 0; i < 3; i++ {
-		c.Advance(10 * time.Millisecond)
-		select {
-		case <-ch:
-		default:
-			t.Fatalf("tick %d missing", i)
-		}
-	}
-	stop()
-	c.Advance(100 * time.Millisecond)
-	select {
-	case <-ch:
-		t.Fatal("tick after stop")
-	default:
-	}
-}
-
 func TestFakeClockOrdersTimers(t *testing.T) {
 	c := NewFakeClock()
 	// Registered out of order; one Advance covers both. Each must carry the

@@ -5,30 +5,22 @@ import (
 	"time"
 )
 
-// WallClock is real time: Now is time.Now and tickers are time.Tickers.
-// It satisfies the clock interfaces of packages that accept a pluggable
-// time source (e.g. core.AutoAdaptConfig.Clock, which uses only Ticker).
+// WallClock is real time: Now is time.Now and timers are time.After. It
+// satisfies PlayClock, for playing a scenario as a soak.
 type WallClock struct{}
 
 // Now returns the wall-clock time.
 func (WallClock) Now() time.Time { return time.Now() }
 
-// Ticker returns a real ticker channel and its stop function.
-func (WallClock) Ticker(d time.Duration) (<-chan time.Time, func()) {
-	t := time.NewTicker(d)
-	return t.C, t.Stop
-}
-
 // After returns a real timer channel.
 func (WallClock) After(d time.Duration) <-chan time.Time { return time.After(d) }
 
 // FakeClock is a manually advanced time source. It starts at a fixed
-// epoch and only moves when Advance is called; due tickers and timers
-// fire during the advance, in timestamp order. Like time.Ticker, a ticker
-// whose channel is full coalesces ticks instead of blocking the advance.
+// epoch and only moves when Advance is called; due timers fire during the
+// advance, in timestamp order.
 //
-// FakeClock is safe for concurrent use: a background loop may block on a
-// ticker channel while the test drives Advance.
+// FakeClock is safe for concurrent use: a background goroutine may block
+// on a timer channel while the test drives Advance.
 type FakeClock struct {
 	mu     sync.Mutex
 	now    time.Time
@@ -36,10 +28,9 @@ type FakeClock struct {
 }
 
 type fakeTimer struct {
-	at     time.Time
-	period time.Duration // 0 = one-shot
-	ch     chan time.Time
-	done   bool
+	at   time.Time
+	ch   chan time.Time
+	done bool
 }
 
 // NewFakeClock returns a clock frozen at a fixed, arbitrary epoch.
@@ -54,23 +45,6 @@ func (c *FakeClock) Now() time.Time {
 	return c.now
 }
 
-// Ticker returns a channel that receives the fake time every d of fake
-// time, and a stop function. d must be positive.
-func (c *FakeClock) Ticker(d time.Duration) (<-chan time.Time, func()) {
-	if d <= 0 {
-		panic("chaos: non-positive ticker period")
-	}
-	c.mu.Lock()
-	t := &fakeTimer{at: c.now.Add(d), period: d, ch: make(chan time.Time, 1)}
-	c.timers = append(c.timers, t)
-	c.mu.Unlock()
-	return t.ch, func() {
-		c.mu.Lock()
-		t.done = true
-		c.mu.Unlock()
-	}
-}
-
 // After returns a channel that receives the fake time once, d of fake
 // time from now.
 func (c *FakeClock) After(d time.Duration) <-chan time.Time {
@@ -81,8 +55,8 @@ func (c *FakeClock) After(d time.Duration) <-chan time.Time {
 	return t.ch
 }
 
-// Advance moves the clock forward by d, firing every ticker and timer
-// that comes due, in order.
+// Advance moves the clock forward by d, firing every timer that comes
+// due, in order.
 func (c *FakeClock) Advance(d time.Duration) {
 	c.mu.Lock()
 	target := c.now.Add(d)
@@ -100,15 +74,8 @@ func (c *FakeClock) Advance(d time.Duration) {
 			break
 		}
 		c.now = next.at
-		select {
-		case next.ch <- next.at:
-		default: // coalesce, like time.Ticker
-		}
-		if next.period > 0 {
-			next.at = next.at.Add(next.period)
-		} else {
-			next.done = true
-		}
+		next.ch <- next.at // buffered, and each timer fires once
+		next.done = true
 	}
 	c.now = target
 	// Compact out finished timers so long runs do not accumulate them.

@@ -23,10 +23,9 @@
 //     are invariants (rollback on partial apply, reconnect with capped
 //     backoff, the feed ring never blocking the data plane).
 //
-// FakeClock is the harness's deterministic time source: components that
-// accept a clock (the core.AutoAdapter cycle scheduler via
-// AutoAdaptConfig.Clock, Runner.Play) can be driven tick by tick instead
-// of sleeping wall time.
+// FakeClock is the harness's deterministic time source: Runner.Play (and
+// any component that waits through a PlayClock) can be driven step by step
+// instead of sleeping wall time.
 //
 // Fault applications and clearances are recorded three ways: in the
 // Runner's deterministic Log (the replay artifact), as flight-recorder

@@ -198,3 +198,69 @@ func TestChaosSOAPSourceSurvivesGarbageEndpoint(t *testing.T) {
 		}
 	}
 }
+
+// TestChaosControllerHoldDownDampsAlternatingDemand runs vnetd's loop
+// configuration — LogApplier, the default 0.1 / 1.0 gate, a 2 s Interval —
+// against demand that alternates every tick between two VM pairs, each
+// wanting its own path installed. Every cycle that sees the other pair's
+// demand clears the gate and applies, so without the hold-down the loop
+// re-plans on every tick. Tick must keep applied plans at least
+// 2 × Interval apart, and count every held tick.
+func TestChaosControllerHoldDownDampsAlternatingDemand(t *testing.T) {
+	const interval = 2 * time.Second
+	hosts := []string{"h1", "h2", "h3", "h4"}
+	g := topology.Complete(4, func(a, b topology.NodeID) (float64, float64) { return 100, 1 })
+	for i, h := range hosts {
+		g.SetName(topology.NodeID(i), h)
+	}
+	demand := func(src, dst vadapt.VMID) *Snapshot {
+		return &Snapshot{
+			Problem: &vadapt.Problem{Hosts: g, NumVMs: 4,
+				Demands: []vadapt.Demand{{Src: src, Dst: dst, Rate: 50}}},
+			Hosts:   hosts,
+			VMs:     []ethernet.MAC{ethernet.VMMAC(0), ethernet.VMMAC(1), ethernet.VMMAC(2), ethernet.VMMAC(3)},
+			Mapping: []topology.NodeID{0, 1, 2, 3},
+		}
+	}
+	snaps := [2]*Snapshot{demand(0, 1), demand(2, 3)}
+	src := &StaticSource{}
+	m := NewMetrics(obs.NewRegistry())
+	c, err := New(Config{
+		Source:   src,
+		Applier:  LogApplier{},
+		Interval: interval,
+		Metrics:  m,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+
+	start := time.Date(2006, 1, 2, 15, 4, 5, 0, time.UTC)
+	var applied []time.Time
+	var held uint64
+	for k := 0; k < 20; k++ {
+		now := start.Add(time.Duration(k) * interval)
+		src.Snap = snaps[k%2]
+		res, ran := c.Tick(now)
+		switch {
+		case !ran:
+			held++
+		case res.Err != nil:
+			t.Fatalf("tick %d: %v", k, res.Err)
+		case res.Applied:
+			applied = append(applied, now)
+		}
+	}
+	for i := 1; i < len(applied); i++ {
+		if gap := applied[i].Sub(applied[i-1]); gap < 2*interval {
+			t.Fatalf("plans applied %v apart (at %v and %v), want at most one per %v",
+				gap, applied[i-1].Sub(start), applied[i].Sub(start), 2*interval)
+		}
+	}
+	if len(applied) < 2 {
+		t.Fatalf("%d plans applied in 20 ticks: the loop stopped adapting", len(applied))
+	}
+	if got := m.CyclesHeld.Value(); got != held || held == 0 {
+		t.Fatalf("control_cycles_held_total = %d, held ticks = %d", got, held)
+	}
+}

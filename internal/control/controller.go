@@ -78,7 +78,8 @@ type Config struct {
 	// Gate is the cost/benefit hysteresis; the zero value means defaults
 	// (10% relative and 1.0 absolute improvement required).
 	Gate vadapt.Gate
-	// Interval is the period of Start's loop (default 1s).
+	// Interval is the period of Start's loop (default 1s). A plan applied
+	// by Tick holds the loop down for 2 × Interval.
 	Interval time.Duration
 	// Metrics is optional; nil disables instrumentation.
 	Metrics *Metrics
@@ -169,6 +170,11 @@ type Controller struct {
 	lastMu sync.Mutex
 	last   *CycleResult
 
+	// tickMu makes each Tick one step — hold-down check, cycle, and the
+	// record of when it applied — so racing ticks cannot both apply.
+	tickMu      sync.Mutex
+	lastApplied time.Time // guarded by tickMu
+
 	stopCh   chan struct{}
 	stopOnce sync.Once
 	done     sync.WaitGroup
@@ -195,22 +201,44 @@ func New(cfg Config) (*Controller, error) {
 	}, nil
 }
 
-// Start launches the periodic loop; Stop halts it.
+// Start launches the periodic loop, one Tick per Interval; Stop halts it.
 func (c *Controller) Start() {
+	ticker := time.NewTicker(c.cfg.Interval) // here, so the period counts from Start
 	c.done.Add(1)
 	go func() {
 		defer c.done.Done()
-		ticker := time.NewTicker(c.cfg.Interval)
 		defer ticker.Stop()
 		for {
 			select {
 			case <-c.stopCh:
 				return
-			case <-ticker.C:
-				c.RunCycle()
+			case now := <-ticker.C:
+				c.Tick(now)
 			}
 		}
 	}()
+}
+
+// Tick is one step of the damped loop: it runs a cycle unless a plan was
+// applied less than 2 × Interval before now. That hold-down lets the
+// effect of one move be observed before the next is made, the damping the
+// paper asks for beside the gate ("adaptation decisions ... cannot lead to
+// oscillation"). Only an applied plan starts a hold-down; a skipped, gated
+// or failed cycle leaves the next tick free. A now earlier than the last
+// applied plan counts as held. ran is false for a held tick, which
+// control_cycles_held_total counts.
+func (c *Controller) Tick(now time.Time) (res CycleResult, ran bool) {
+	c.tickMu.Lock()
+	defer c.tickMu.Unlock()
+	if !c.lastApplied.IsZero() && now.Sub(c.lastApplied) < 2*c.cfg.Interval {
+		c.cfg.Metrics.CyclesHeld.Inc()
+		return res, false
+	}
+	res = c.RunCycle()
+	if res.Applied {
+		c.lastApplied = now
+	}
+	return res, true
 }
 
 // Stop halts the loop and waits for the in-flight cycle to finish.

@@ -21,6 +21,14 @@
 //     reconfigures a live overlay transactionally (with rollback on
 //     partial failure), LogApplier dry-runs for observe-only deployments.
 //
+// RunCycle is one sense -> decide -> apply pass. The loop around it is
+// Tick: a cycle per tick, except within 2 × Config.Interval of a tick
+// that applied a plan — a hold-down, counted in control_cycles_held_total,
+// so the effect of one move is observed before the next is made. Start
+// runs Tick on a ticker (vnetd -controller); vadaptctl -live calls it in
+// its own counted loop. Only callers that measure or demonstrate a single
+// cycle call RunCycle directly.
+//
 // A path measurement has one shape on every route into the sense phase:
 //
 //	wren.Monitor.Scan -> PathObservation.Record() -> coord.Record

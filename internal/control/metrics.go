@@ -8,6 +8,7 @@ import (
 // zero value) is the uninstrumented state; both are safe to use.
 type Metrics struct {
 	Cycles          *obs.Counter   // control_cycles_total
+	CyclesHeld      *obs.Counter   // control_cycles_held_total
 	CycleErrors     *obs.Counter   // control_cycle_errors_total
 	PlansApplied    *obs.Counter   // control_plans_applied_total
 	PlansSkipped    *obs.Counter   // control_plans_skipped_total
@@ -38,6 +39,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 	return &Metrics{
 		Cycles: reg.Counter("control_cycles_total",
 			"Control cycles started (sense attempts)."),
+		CyclesHeld: reg.Counter("control_cycles_held_total",
+			"Loop ticks that ran no cycle because a plan was applied less than 2 × the controller interval before."),
 		CycleErrors: reg.Counter("control_cycle_errors_total",
 			"Control cycles that failed to sense or apply."),
 		PlansApplied: reg.Counter("control_plans_applied_total",

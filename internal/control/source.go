@@ -100,8 +100,8 @@ type VMInfo struct {
 
 // ViewSource builds snapshots from the Proxy's live GlobalView — the
 // paper's "free" path: the VTTIF traffic matrix supplies the demands and
-// the Wren measurements supply the host graph, with configured defaults
-// where nothing has been measured yet.
+// the Wren measurements supply the host graph, with the defaults where
+// nothing has been measured yet.
 type ViewSource struct {
 	View *vnet.GlobalView
 	// Shards holds the per-proxy shard views of a mesh overlay
@@ -117,10 +117,6 @@ type ViewSource struct {
 	// Hub is the star hub's daemon name, used to compose unmeasured paths
 	// from their two star legs (default "proxy").
 	Hub string
-	// DefaultLinkMbps and DefaultLatencyMs stand in for unmeasured paths
-	// (defaults 100 and 1).
-	DefaultLinkMbps  float64
-	DefaultLatencyMs float64
 	// Fusion, when non-nil, supplements the passive view with on-demand
 	// active measurements: pairs the passive plane never measured (or
 	// whose measurement has gone stale) are offered to Fusion.OnDemand
@@ -222,12 +218,18 @@ func (l link) try(from, to string) (coord.Record, string, bool) {
 //
 // — the measured links tried in both directions.
 type sense struct {
-	views         []*vnet.GlobalView
-	chain         []link
-	hub           string // "" when there is no star to compose legs through
-	defBW, defLat float64
-	fusion        *Fusion
+	views  []*vnet.GlobalView
+	chain  []link
+	hub    string // "" when there is no star to compose legs through
+	fusion *Fusion
 }
+
+// The defaults: the assumed capacity and latency of a path until Wren has
+// measured it, the same for ViewSource and SOAPSource.
+const (
+	defaultLinkMbps  = 100
+	defaultLatencyMs = 1
+)
 
 // newSense resolves the source's configuration for one snapshot. The
 // live-view link aggregates View and Shards (nils and duplicates skipped);
@@ -235,8 +237,6 @@ type sense struct {
 func (s *ViewSource) newSense() *sense {
 	sn := &sense{
 		hub:    cmp.Or(s.Hub, "proxy"),
-		defBW:  cmp.Or(s.DefaultLinkMbps, 100),
-		defLat: cmp.Or(s.DefaultLatencyMs, 1),
 		fusion: s.Fusion,
 	}
 	for _, v := range append([]*vnet.GlobalView{s.View}, s.Shards...) {
@@ -277,7 +277,7 @@ func (sn *sense) lookLive(from, to string) (coord.Record, bool) {
 // the defaults. On the initial star topology all traffic transits the
 // hub, so the leg measurements are what Wren actually has.
 func (sn *sense) tail(from, to string) (coord.Record, string) {
-	r, source := coord.Record{Mbps: sn.defBW}, "default"
+	r, source := coord.Record{Mbps: defaultLinkMbps}, "default"
 	if sn.hub == "" {
 		return r, source
 	}
@@ -317,7 +317,7 @@ func (sn *sense) estimate(from, to string) (bw, lat float64, prov PathProvenance
 	r, source := sn.read(from, to)
 	bw, lat = r.Mbps, r.LatencyMs
 	if lat <= 0 {
-		lat = sn.defLat
+		lat = defaultLatencyMs
 	}
 	prov = PathProvenance{From: from, To: to, Mbps: bw, LatencyMs: lat,
 		Source: source, Kind: r.Kind, Quality: r.Quality, AgeSec: ageSec(r.At)}
@@ -441,10 +441,6 @@ type SOAPSource struct {
 	NumVMs  int
 	Demands []vadapt.Demand
 	Mapping []topology.NodeID
-	// DefaultLinkMbps and DefaultLatencyMs stand in for unmeasured pairs
-	// (defaults 100 and 1).
-	DefaultLinkMbps  float64
-	DefaultLatencyMs float64
 	// Timeout bounds each SOAP call (default 5s). Without it a single
 	// unreachable or wedged endpoint would stall the sense phase — and with
 	// it the whole control loop — indefinitely; with it the pair falls back
@@ -469,11 +465,7 @@ func (s *SOAPSource) newSense() *sense {
 			s.clients[i].SetTimeout(cmp.Or(s.Timeout, defaultSOAPTimeout))
 		}
 	}
-	return &sense{
-		chain:  []link{{look: s.lookSOAP, fwd: "direct", rev: "reverse"}},
-		defBW:  cmp.Or(s.DefaultLinkMbps, 100),
-		defLat: cmp.Or(s.DefaultLatencyMs, 1),
-	}
+	return &sense{chain: []link{{look: s.lookSOAP, fwd: "direct", rev: "reverse"}}}
 }
 
 // Snapshot implements ProblemSource.

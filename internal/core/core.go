@@ -8,7 +8,6 @@ import (
 
 	"freemeasure/internal/control"
 	"freemeasure/internal/ethernet"
-	"freemeasure/internal/vadapt"
 	"freemeasure/internal/vm"
 	"freemeasure/internal/vnet"
 	"freemeasure/internal/vsched"
@@ -20,23 +19,10 @@ import (
 type Config struct {
 	// Hosts names the machines that run VNET daemons (plus an implicit Proxy).
 	Hosts []string
-	// DefaultLinkMbps and DefaultLatencyMs are the assumed capacity and
-	// latency of a path until Wren has measured it (defaults 100 and 1).
-	DefaultLinkMbps  float64
-	DefaultLatencyMs float64
 	// ReportEvery is the daemons' reporting period to the Proxy (default 250 ms).
 	ReportEvery time.Duration
-	// Objective for adaptation (default vadapt.ResidualBW{}).
-	Objective vadapt.Objective
-	// SA configures the annealing refinement; SA.Iterations == 0 leaves
-	// the greedy heuristic alone.
-	SA vadapt.SAConfig
-	// VTTIF and Wren tuneables.
+	// VTTIF tunes the daemons' and the Proxy's traffic inference.
 	VTTIF vttif.Config
-	Wren  wren.Config
-	// HostCPUCapacity is each host's admissible CPU utilization for VM
-	// reservations (VSched periodic real-time scheduling; default 1.0).
-	HostCPUCapacity float64
 }
 
 // withDefaults fills what core consumes; control defaults the rest.
@@ -44,17 +30,14 @@ func (c Config) withDefaults() Config {
 	if c.ReportEvery == 0 {
 		c.ReportEvery = 250 * time.Millisecond
 	}
-	// Wall-clock overlay traffic is sparser and noisier than simulated
-	// kernel traces: merge sub-millisecond write jitter into bursts and
-	// close trains after 20 ms of idleness.
-	if c.Wren.Scan.BurstGap == 0 {
-		c.Wren.Scan.BurstGap = 1_000_000
-	}
-	if c.Wren.Scan.MaxGap == 0 {
-		c.Wren.Scan.MaxGap = 20_000_000
-	}
 	return c
 }
+
+// overlayWren is every daemon's Wren configuration. Wall-clock overlay
+// traffic is sparser and noisier than simulated kernel traces: merge
+// sub-millisecond write jitter into bursts and close trains after 20 ms of
+// idleness.
+var overlayWren = wren.Config{Scan: wren.ScanConfig{BurstGap: 1_000_000, MaxGap: 20_000_000}}
 
 // System is a running deployment: a star overlay, the VMs attached to it,
 // per-host CPU schedulers, and the one control.Controller that adapts them.
@@ -74,25 +57,21 @@ func NewSystem(cfg Config) (*System, error) {
 	if len(cfg.Hosts) == 0 {
 		return nil, fmt.Errorf("core: no hosts")
 	}
-	o, err := vnet.NewStar(cfg.Hosts, cfg.VTTIF, cfg.Wren)
+	o, err := vnet.NewStar(cfg.Hosts, cfg.VTTIF, overlayWren)
 	if err != nil {
 		return nil, err
 	}
 	s := &System{overlay: o, vms: make(map[ethernet.MAC]*vm.VM), sched: make(map[string]*vsched.Scheduler)}
 	for _, h := range cfg.Hosts {
-		s.sched[h] = vsched.New(cfg.HostCPUCapacity)
+		s.sched[h] = vsched.New(1) // the whole CPU is admissible
 	}
 	s.ctl, err = control.New(control.Config{
 		Source: &control.ViewSource{
-			View:             o.View,
-			Hosts:            func() []string { return cfg.Hosts },
-			VMs:              s.vmInfos,
-			DefaultLinkMbps:  cfg.DefaultLinkMbps,
-			DefaultLatencyMs: cfg.DefaultLatencyMs,
+			View:  o.View,
+			Hosts: func() []string { return cfg.Hosts },
+			VMs:   s.vmInfos,
 		},
-		Applier:   control.OverlayApplier{Overlay: o, Migrator: s},
-		Objective: cfg.Objective,
-		SA:        cfg.SA,
+		Applier: control.OverlayApplier{Overlay: o, Migrator: s},
 	})
 	if err != nil {
 		o.Close()
@@ -103,7 +82,8 @@ func NewSystem(cfg Config) (*System, error) {
 }
 
 // Controller returns the system's adaptation loop: RunCycle executes one
-// sense -> decide -> apply pass and reports it as a control.CycleResult.
+// sense -> decide -> apply pass and reports it as a control.CycleResult;
+// Tick and Start run it damped by the hold-down.
 func (s *System) Controller() *control.Controller { return s.ctl }
 
 // Overlay exposes the underlying overlay (for rate limiting, inspection).

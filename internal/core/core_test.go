@@ -285,8 +285,8 @@ func TestNewSystemValidation(t *testing.T) {
 // configurations by residual bandwidth, and one that sets nothing else
 // still reports.
 func TestDefaultObjective(t *testing.T) {
-	if cfg := (Config{Hosts: []string{"x"}}).withDefaults(); cfg.ReportEvery == 0 || cfg.Wren.Scan.MaxGap == 0 {
-		t.Fatalf("defaults = %+v", cfg)
+	if cfg := (Config{Hosts: []string{"x"}}).withDefaults(); cfg.ReportEvery == 0 || overlayWren.Scan.MaxGap == 0 {
+		t.Fatalf("defaults = %+v, Wren %+v", cfg, overlayWren)
 	}
 	s := newTestSystem(t, []string{"h1", "h2"})
 	v1, _ := s.AddVM(1, "h1")

@@ -10,6 +10,7 @@
 // top-level object and owns no adaptation logic: System.Controller() is a
 // control.Controller whose RunCycle executes one turn of that loop through
 // the transactional vnet.Overlay.Apply, with System as the vnet.Migrator
-// that moves VMs and their CPU reservations. StartAutoAdapt runs cycles
-// on a ticker.
+// that moves VMs and their CPU reservations. The controller's Tick is one
+// step of the damped loop (no cycle within 2 × its Interval of an applied
+// plan), and Start runs Tick on a ticker.
 package core
