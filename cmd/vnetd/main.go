@@ -130,6 +130,9 @@ func main() {
 		}
 		fw.SetLogger(obs.NewLogger(os.Stderr, "wren", *name))
 		fw.SetFlight(flight)
+		if reg != nil {
+			fw.SetMetrics(wren.NewForwarderMetrics(reg))
+		}
 		defer fw.Close()
 		go func() {
 			for range time.Tick(*poll) {

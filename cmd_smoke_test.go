@@ -168,6 +168,27 @@ func TestSmokeWrenrepodSIGTERM(t *testing.T) {
 	}
 }
 
+// TestSmokeVnetdForwarderMetrics: a vnetd shipping its trace to a
+// wrenrepod (-forward) with -metrics-addr serves the forwarder's series.
+func TestSmokeVnetdForwarderMetrics(t *testing.T) {
+	if testing.Short() {
+		t.Skip("spawns subprocesses")
+	}
+	ingest, httpAddr := freePort(t), freePort(t)
+	startTool(t, "wrenrepod", "-listen", ingest, "-http", httpAddr)
+	waitTCP(t, ingest)
+	listen, metrics := freePort(t), freePort(t)
+	startTool(t, "vnetd", "-name", "smoke-fwd", "-listen", listen,
+		"-forward", ingest, "-metrics-addr", metrics)
+	waitTCP(t, metrics)
+	body := httpGet(t, "http://"+metrics+"/metrics")
+	for _, series := range []string{"wren_forwarder_reconnects_total", "wren_forwarder_lost_records_total"} {
+		if !strings.Contains(body, series) {
+			t.Errorf("metrics endpoint missing %s", series)
+		}
+	}
+}
+
 // TestSmokeVnetdInterrupt: Interrupt (Ctrl-C) works the same as SIGTERM.
 func TestSmokeVnetdInterrupt(t *testing.T) {
 	if testing.Short() {

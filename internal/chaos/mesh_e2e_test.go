@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"encoding/json"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
+	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -13,6 +15,7 @@ import (
 	"freemeasure/internal/ethernet"
 	"freemeasure/internal/obs"
 	"freemeasure/internal/obs/collect"
+	"freemeasure/internal/vm"
 	"freemeasure/internal/vnet"
 	"freemeasure/internal/vttif"
 	"freemeasure/internal/wren"
@@ -277,4 +280,118 @@ func TestChaosMeshPartitionRehomesThenOperatorRestores(t *testing.T) {
 	})
 	h1.InjectFrame(meshVMFrame(vm, src))
 	meshWait(t, "delivery via restored home", func() bool { return delivered.Load() >= 1 })
+}
+
+// Migrations on NewMesh(2, 10) whose hosts are also joined by direct links
+// (a chain plus seeded chords, so the overlay is full of cycles), with a
+// seeded direct link partitioned and healed halfway through. Every VM
+// announce must settle at the flood tree's exact frame count with no TTL
+// expiry, and afterwards every host's unicast must reach the VM.
+func TestChaosMeshMigrateSettles(t *testing.T) {
+	seed := chaosSeed(t)
+	rng := rand.New(rand.NewSource(seed))
+	fr := obs.NewFlightRecorder(512)
+	defer dumpTrace(t, fr, seed)
+
+	proxies := []string{"pa", "pb"}
+	var hosts []string
+	for i := 1; i <= 10; i++ {
+		hosts = append(hosts, fmt.Sprintf("h%d", i))
+	}
+	o, err := vnet.NewMesh(proxies, hosts, vttif.Config{}, wren.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer o.Close()
+	recs := meshFlight(o)
+	recs["chaos"] = fr
+	defer dumpMeshTrace(t, seed, recs)
+
+	var direct []string
+	link := func(a, b string) {
+		if _, ok := o.Node(a).Daemon.Link(b); ok || a == b {
+			return
+		}
+		if err := o.ConnectPair(a, b); err != nil {
+			t.Fatal(err)
+		}
+		direct = append(direct, a+"<->"+b)
+	}
+	for i := 1; i < len(hosts); i++ {
+		link(hosts[i-1], hosts[i])
+	}
+	for i := 0; i < 5; i++ {
+		link(hosts[rng.Intn(len(hosts))], hosts[rng.Intn(len(hosts))])
+	}
+
+	var all []*vnet.Daemon
+	for _, p := range o.Proxies {
+		all = append(all, p.Daemon)
+	}
+	for _, n := range o.Nodes {
+		all = append(all, n.Daemon)
+	}
+	totals := func() (flooded, ttl uint64) {
+		for _, d := range all {
+			st := d.Stats()
+			flooded, ttl = flooded+st.FramesFlooded, ttl+st.TTLExpired
+		}
+		return flooded, ttl
+	}
+	// One announce: up to the home proxy, from there to the other proxy
+	// and the other hosts, from the other proxy to every host.
+	P, H := uint64(len(proxies)), uint64(len(hosts))
+	perAnnounce := 1 + (P - 1) + (H - 1) + (P-1)*H
+
+	vms := []*vm.VM{vm.New(1), vm.New(2), vm.New(3)}
+	var want uint64
+	migrate := func(v *vm.VM, to string) {
+		t.Helper()
+		v.AttachTo(o.Node(to).Daemon)
+		want += perAnnounce
+		meshWait(t, fmt.Sprintf("vm%d's announce from %s", v.ID(), to), func() bool {
+			f, _ := totals()
+			return f >= want
+		})
+		time.Sleep(30 * time.Millisecond) // a storm would still be growing
+		if f, ttl := totals(); f != want || ttl != 0 {
+			t.Fatalf("vm%d to %s: flooded=%d ttlExpired=%d, want %d/0 (seed %d)", v.ID(), to, f, ttl, want, seed)
+		}
+		rx := v.Received()
+		for i, n := range o.Nodes {
+			n.Daemon.InjectFrame(meshVMFrame(v.MAC(), ethernet.VMMAC(100+i)))
+		}
+		meshWait(t, fmt.Sprintf("every host reaches vm%d at %s", v.ID(), to), func() bool {
+			return v.Received() == rx+H
+		})
+	}
+	for _, v := range vms {
+		migrate(v, hosts[rng.Intn(len(hosts))])
+	}
+	for i := 0; i < 3; i++ {
+		migrate(vms[rng.Intn(len(vms))], hosts[rng.Intn(len(hosts))])
+	}
+
+	cut := direct[rng.Intn(len(direct))]
+	r := &Runner{
+		Scenario: Scenario{
+			Name:   "mesh-migrate-direct-partition",
+			Seed:   seed,
+			Events: []Event{{At: 0, Fault: Fault{Kind: Partition}, Target: cut, Duration: 50 * time.Millisecond}},
+		},
+		Fabric: NewOverlayFabric(o),
+		Log:    &Log{},
+		Flight: fr,
+	}
+	if err := r.Play(WallClock{}, nil); err != nil {
+		t.Fatalf("play: %v", err)
+	}
+	ends := strings.Split(cut, "<->")
+	meshWait(t, "healed direct link", func() bool {
+		_, ok := o.Node(ends[0]).Daemon.Link(ends[1])
+		return ok
+	})
+	for i := 0; i < 3; i++ {
+		migrate(vms[rng.Intn(len(vms))], hosts[rng.Intn(len(hosts))])
+	}
 }

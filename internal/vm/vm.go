@@ -37,7 +37,11 @@ func (v *VM) MAC() ethernet.MAC { return v.mac }
 // previous one. This is also the mechanism of VM migration: detach here,
 // attach there, MAC unchanged — the network illusion VNET maintains. The
 // VM announces itself with a broadcast (the gratuitous-ARP analogue) so
-// every daemon learns its new location.
+// every daemon learns its new location. The announce travels the flood
+// tree: up the new host's default link to its proxy, which relays it out
+// of every other link (another ring member passes it to its hosts only).
+// Direct host links carry none of it, so each host learns the VM behind
+// its proxy, at one frame per daemon on the star.
 func (v *VM) AttachTo(d *vnet.Daemon) {
 	if old := v.daemon.Load(); old != nil {
 		old.DetachVM(v.mac)

@@ -65,7 +65,7 @@ type Daemon struct {
 	// Wren feed: bounded ring + batch sink, both swapped atomically.
 	ring      atomic.Pointer[feedRing]
 	wrenBatch atomic.Pointer[func([]pcap.Record)]
-	feedCap   int // ring capacity override; set before the first SetWrenBatchFeed
+	feedCap   int // ring capacity override (tests); set before the first SetWrenBatchFeed
 
 	mu     sync.RWMutex // control plane: registration state and snapshot swaps
 	ln     net.Listener
@@ -129,15 +129,6 @@ func (d *Daemon) SetWrenBatchFeed(fn func([]pcap.Record)) {
 	}
 	d.startFeedRing()
 	d.wrenBatch.Store(&fn)
-}
-
-// SetWrenFeedCapacity overrides the feed-ring capacity (records). It must
-// be called before the first SetWrenBatchFeed; afterwards it
-// has no effect. Zero or negative keeps the default (8192).
-func (d *Daemon) SetWrenFeedCapacity(n int) {
-	d.mu.Lock()
-	d.feedCap = n
-	d.mu.Unlock()
 }
 
 // startFeedRing lazily creates the ring and its analyzer goroutine.
@@ -676,8 +667,10 @@ func encodeFramePayload(bufp *[]byte, f *ethernet.Frame, ttl byte) ([]byte, erro
 	return payload, nil
 }
 
-// flood sends a VM-ingress broadcast to every other local VM and out of
-// every link.
+// flood sends a VM-ingress broadcast to every other local VM and along the
+// flood tree: a leaf sends it up its default link only, a hub (or a leaf
+// whose default link is down) out of every link. See floodRaw for why the
+// tree is loop-free.
 func (d *Daemon) flood(f *ethernet.Frame) {
 	t := d.fwd.Load()
 	for mac, port := range t.vms {
@@ -694,18 +687,29 @@ func (d *Daemon) flood(f *ethernet.Frame) {
 		msgBufs.Put(bufp)
 		return
 	}
-	for _, link := range t.links {
-		if err := link.sendFramePayload(payload); err == nil {
-			d.cnt.flooded.Add(1)
-			d.met.FramesFlooded.Inc()
+	if up := t.links[t.deflt]; up != nil && t.leaf() {
+		d.sendFlood(up, payload)
+	} else {
+		for _, link := range t.links {
+			d.sendFlood(link, payload)
 		}
 	}
 	msgBufs.Put(bufp)
 }
 
 // floodRaw is the relay-path flood: local ports get a Frame materialized
-// from a copy (only built if a port exists), peers get the raw payload
-// with TTL and sequence rewritten in place.
+// from a copy (only built if a port exists), and a hub passes the raw
+// payload on with TTL and sequence rewritten in place.
+//
+// Broadcasts follow a flood tree read off the forwarding snapshot, with
+// no per-broadcast state: the star (or the proxy mesh) is the tree, and
+// the direct links VADAPT adds are unicast shortcuts only. A leaf never
+// re-floods a relayed broadcast; a hub floods it out of every link but
+// the ingress, except that a ring member passes a broadcast it got from
+// another ring member to non-members only. Only hubs relay, and a ring
+// member relays to other members only what came from outside the ring,
+// so no copy comes back around a cycle. TTL stays as the backstop for
+// topologies with several hubs outside a ring.
 func (d *Daemon) floodRaw(payload []byte, hdr ethernet.Header, fromPeer string, ttl byte) {
 	t := d.fwd.Load()
 	var f *ethernet.Frame
@@ -721,20 +725,29 @@ func (d *Daemon) floodRaw(payload []byte, hdr ethernet.Header, fromPeer string, 
 		}
 		port(f)
 	}
+	if t.leaf() {
+		return
+	}
 	if ttl <= 1 {
 		d.cnt.ttlExpired.Add(1)
 		d.met.TTLExpired.Inc()
 		return
 	}
 	payload[0] = ttl - 1
+	fromRing := t.ring != nil && t.ring.Contains(fromPeer)
 	for peer, link := range t.links {
-		if peer == fromPeer {
+		if peer == fromPeer || fromRing && t.ring.Contains(peer) {
 			continue
 		}
-		if err := link.sendFramePayload(payload); err == nil {
-			d.cnt.flooded.Add(1)
-			d.met.FramesFlooded.Inc()
-		}
+		d.sendFlood(link, payload)
+	}
+}
+
+// sendFlood sends one copy of a broadcast payload and counts it.
+func (d *Daemon) sendFlood(link *Link, payload []byte) {
+	if err := link.sendFramePayload(payload); err == nil {
+		d.cnt.flooded.Add(1)
+		d.met.FramesFlooded.Inc()
 	}
 }
 

@@ -5,10 +5,10 @@ import (
 	"sync/atomic"
 )
 
-// Test-only exports for the scale scenario (scale_test.go): a synchronous
-// in-memory transport and bulk link installation, so a 10k-daemon overlay
-// assembles in seconds and runs deterministically — no sockets, no read
-// loops, no timers.
+// Test-only exports. The scale scenario (scale_test.go) and the flood-tree
+// tests use a synchronous in-memory transport and bulk link installation,
+// so a 10k-daemon overlay assembles in seconds and runs deterministically
+// — no sockets, no read loops, no timers.
 
 var errMemLinkDown = errors.New("vnet: mem link down")
 
@@ -64,4 +64,19 @@ func (d *Daemon) InstallLinks(links []*Link) {
 			t.links[l.peer] = l
 		}
 	})
+}
+
+// SetWrenFeedCapacity overrides the feed-ring capacity (records). It must
+// be called before the first SetWrenBatchFeed; afterwards it has no
+// effect. Zero or negative keeps the default (8192).
+func (d *Daemon) SetWrenFeedCapacity(n int) {
+	d.mu.Lock()
+	d.feedCap = n
+	d.mu.Unlock()
+}
+
+// SeqState returns the link's Wren sequence bookkeeping: cumulative bytes
+// sent, received, and acknowledged by the peer.
+func (l *Link) SeqState() (sent, recv, acked int64) {
+	return l.sentBytes.Load(), l.recvBytes.Load(), l.ackedBytes.Load()
 }

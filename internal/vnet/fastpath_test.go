@@ -346,3 +346,92 @@ func TestLinkCounterConcurrency(t *testing.T) {
 		t.Fatalf("link stats = %+v, want %d sent and received", st, n)
 	}
 }
+
+// TestFloodTreeRule pins each part of the flood tree against the
+// snapshot: which links a broadcast leaves on, by the daemon's place in
+// the tree and the link it arrived on.
+func TestFloodTreeRule(t *testing.T) {
+	ring := MustNewProxyRing([]string{"pa", "pb", "pc"}, 0)
+	cases := []struct {
+		name  string
+		self  string
+		deflt string
+		ring  *ProxyRing
+		links []string
+		from  string // "" = the broadcast comes from a local VM
+		want  []string
+	}{
+		{name: "hub relays to every link but the ingress", self: "hub",
+			links: []string{"prev", "peer0", "peer1", "peer2", "peer3"}, from: "prev",
+			want: []string{"peer0", "peer1", "peer2", "peer3"}},
+		{name: "hub floods a local broadcast everywhere", self: "hub",
+			links: []string{"h1", "h2"}, want: []string{"h1", "h2"}},
+		{name: "leaf sends a local broadcast up only", self: "h1", deflt: "proxy",
+			links: []string{"proxy", "h2", "h3"}, want: []string{"proxy"}},
+		{name: "leaf never re-floods from its default link", self: "h1", deflt: "proxy",
+			links: []string{"proxy", "h2", "h3"}, from: "proxy"},
+		{name: "leaf never re-floods from a direct link", self: "h1", deflt: "proxy",
+			links: []string{"proxy", "h2", "h3"}, from: "h2"},
+		{name: "leaf with a dead default link floods a local broadcast", self: "h1", deflt: "proxy",
+			links: []string{"h2", "h3"}, want: []string{"h2", "h3"}},
+		{name: "leaf with a dead default link still never re-floods", self: "h1", deflt: "proxy",
+			links: []string{"h2", "h3"}, from: "h2"},
+		{name: "ring member relays a host's broadcast to everyone", self: "pa", ring: ring,
+			links: []string{"pb", "pc", "h1", "h2"}, from: "h1",
+			want: []string{"pb", "pc", "h2"}},
+		{name: "ring member relays a member's broadcast to non-members", self: "pa", ring: ring,
+			links: []string{"pb", "pc", "h1", "h2"}, from: "pb",
+			want: []string{"h1", "h2"}},
+		{name: "ring member with a default route is still a hub", self: "pa", deflt: "pb", ring: ring,
+			links: []string{"pb", "pc", "h1", "h2"}, from: "h1",
+			want: []string{"pb", "pc", "h2"}},
+	}
+	src, local := ethernet.VMMAC(1), ethernet.VMMAC(9)
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			d := NewDaemon(tc.self)
+			defer d.Close()
+			trs := make(map[string]*recordingTransport)
+			var in *Link
+			for _, p := range tc.links {
+				l, tr := testLink(t, d, p)
+				trs[p] = tr
+				if p == tc.from {
+					in = l
+				}
+			}
+			if tc.ring != nil {
+				d.SetProxyRing(tc.ring)
+			}
+			if tc.deflt != "" {
+				d.SetDefaultRoute(tc.deflt)
+			}
+			var sink collector
+			d.AttachVM(local, sink.port())
+			if in != nil {
+				d.handleMessage(in, msgFrame, framePayload(t, ethernet.Broadcast, src, DefaultTTL, 64))
+			} else {
+				d.InjectFrame(&ethernet.Frame{Dst: ethernet.Broadcast, Src: src, Type: ethernet.TypeApp})
+			}
+			want := make(map[string]bool)
+			for _, p := range tc.want {
+				want[p] = true
+			}
+			for p, tr := range trs {
+				w := 0
+				if want[p] {
+					w = 1
+				}
+				if n := len(tr.frames()); n != w {
+					t.Errorf("%s got %d copies, want %d", p, n, w)
+				}
+			}
+			if sink.count() != 1 {
+				t.Errorf("local VM got %d copies, want 1", sink.count())
+			}
+			if st := d.Stats(); st.FramesFlooded != uint64(len(tc.want)) || st.TTLExpired != 0 {
+				t.Errorf("stats = %+v, want %d flooded and no TTL expiry", st, len(tc.want))
+			}
+		})
+	}
+}

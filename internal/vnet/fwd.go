@@ -185,6 +185,13 @@ func (t *fwdTable) route(dst ethernet.MAC, fromPeer string) (VMPort, *Link) {
 	return nil, nil
 }
 
+// leaf reports whether this daemon is a leaf of the flood tree: it has a
+// default route and is not itself a proxy ring member (a ring member may
+// default to another member, but it still serves its hosts as a hub).
+func (t *fwdTable) leaf() bool {
+	return t.deflt != "" && (t.ring == nil || !t.ring.Contains(t.self))
+}
+
 // ringRoute picks the link toward the proxy owning dst's hash slice —
 // the sharded replacement for the single star default. When the owner is
 // unreachable (its crash has not yet shrunk the local ring) the walk

@@ -106,12 +106,6 @@ func (l *Link) Stats() LinkStats {
 	}
 }
 
-// SeqState returns the link's Wren sequence bookkeeping: cumulative bytes
-// sent, received, and acknowledged by the peer.
-func (l *Link) SeqState() (sent, recv, acked int64) {
-	return l.sentBytes.Load(), l.recvBytes.Load(), l.ackedBytes.Load()
-}
-
 // SetRateMbps installs or changes the link's token-bucket rate limit
 // (0 removes it).
 func (l *Link) SetRateMbps(mbps float64) {

@@ -47,7 +47,7 @@ func NewMetrics(reg *obs.Registry) Metrics {
 		FramesForwarded: reg.Counter("vnet_frames_forwarded_total",
 			"Frames forwarded to a peer daemon over an overlay link."),
 		FramesFlooded: reg.Counter("vnet_frames_flooded_total",
-			"Broadcast frames flooded to peer daemons."),
+			"Broadcast copies sent to peer daemons along the flood tree."),
 		FramesDropped: reg.Counter("vnet_frames_dropped_total",
 			"Frames dropped (no route, dead link, or send failure)."),
 		TTLExpired: reg.Counter("vnet_ttl_expired_total",
