@@ -27,6 +27,7 @@ import (
 	"freemeasure/internal/vnet"
 	"freemeasure/internal/vttif"
 	"freemeasure/internal/wren"
+	"freemeasure/internal/wren/coord"
 )
 
 func main() {
@@ -51,7 +52,7 @@ func main() {
 		ctrlMin  = flag.Float64("controller-min-improvement", 0.1, "hysteresis: fractional objective gain required before acting")
 		ctrlAbs  = flag.Float64("controller-min-absolute", 1.0, "hysteresis: absolute objective gain required before acting")
 		estFuse  = flag.Duration("est-fusion", 0, "fuse active probe estimates into the controller's view when passive measurements are older than this; one probe train in flight at the hub, each peer probed at most once per interval (0 = passive only; requires -controller)")
-		mapURL   = flag.String("map-url", "", "wrenrepod base URL to fetch the published bandwidth map from; fills controller estimates the live view lacks (requires -controller)")
+		mapURL   = flag.String("map-url", "", "wrenrepod base URL to fetch the published bandwidth map from; its entries answer where they are fresher than the live view's (requires -controller)")
 		mapEvery = flag.Duration("map-fetch", 2*time.Second, "bandwidth map fetch interval (requires -map-url)")
 	)
 	flag.Parse()
@@ -310,11 +311,11 @@ func main() {
 			},
 		}
 		if *estFuse > 0 {
-			prober, err := control.NewHubProber(d, monitor, *estFuse, logger)
+			prober, err := control.NewHubProber(d, monitor, view.Store, *estFuse, logger)
 			if err != nil {
 				fatal("est-fusion", "err", err)
 			}
-			src.Fusion = &control.Fusion{StaleAfter: *estFuse, OnDemand: prober.OnDemand}
+			src.Fusion = &control.Fusion{StaleAfter: *estFuse, Kick: prober.Kick}
 			logger.Info("active estimate fusion enabled", "stale_after", *estFuse)
 		}
 		if *mapURL != "" {
@@ -415,7 +416,9 @@ func stateFunc(name string, d *vnet.Daemon, view *vnet.GlobalView, ctl *control.
 			st["ring"] = ringJSON(ring, d.DefaultRoute())
 		}
 		if view != nil {
-			st["paths"] = view.Paths()
+			// The error is a closed store's; the view's never closes.
+			paths, _ := view.Store.Scan(coord.Query{})
+			st["paths"] = paths.Records
 			st["traffic"] = trafficJSON(view.Agg.Rates())
 		}
 		if ctl != nil {

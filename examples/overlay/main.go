@@ -14,6 +14,7 @@ import (
 
 	"freemeasure/internal/core"
 	"freemeasure/internal/vttif"
+	"freemeasure/internal/wren/coord"
 )
 
 func main() {
@@ -64,7 +65,7 @@ func main() {
 	// the fast leg to read as fast in both directions (or 15 s).
 	fmt.Println("measuring passively...")
 	measured := func(a, b string) float64 {
-		if p, ok := sys.Overlay().View.Path(a, b); ok && p.Mbps > 0 {
+		if p, ok := sys.Overlay().View.Store.Get(coord.Path{From: a, To: b}); ok && p.Mbps > 0 {
 			return p.Mbps
 		}
 		return 0
@@ -76,7 +77,7 @@ func main() {
 		}
 	}
 	for _, pair := range [][2]string{{"fast1", "proxy"}, {"slowhost", "proxy"}} {
-		if p, ok := sys.Overlay().View.Path(pair[0], pair[1]); ok && p.Mbps > 0 {
+		if p, ok := sys.Overlay().View.Store.Get(coord.Path{From: pair[0], To: pair[1]}); ok && p.Mbps > 0 {
 			fmt.Printf("wren: %s -> %s  %.1f Mbit/s (%s)\n", pair[0], pair[1], p.Mbps, p.Kind)
 		}
 	}

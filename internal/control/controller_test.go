@@ -81,7 +81,7 @@ func (s *testSystem) migrator() vnet.Migrator {
 func (s *testSystem) feedMeasurements(hosts []string) {
 	now := time.Now().UnixNano()
 	set := func(from, to string, mbps float64) {
-		s.overlay.View.SetPath(coord.Record{Path: coord.Path{From: from, To: to}, At: now,
+		s.overlay.View.Store.Put(coord.Record{Path: coord.Path{From: from, To: to}, At: now,
 			Mbps: mbps, LatencyMs: 1, Kind: "test", Quality: 1})
 	}
 	for _, h := range hosts {

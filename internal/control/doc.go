@@ -10,8 +10,9 @@
 //     naming context linking VM ids to MACs and host ids to daemon names).
 //     ViewSource reads a vnet.GlobalView; SOAPSource polls Wren services
 //     over SOAP; StaticSource replays a fixed snapshot. A Fusion hook
-//     lets ViewSource fill pairs with nothing fresh from active probes;
-//     HubProber is a hub daemon's budgeted implementation.
+//     kicks active probing for pairs with nothing fresh; HubProber is a
+//     hub daemon's budgeted implementation, which stores its active
+//     records in the hub view's store beside the passive ones.
 //   - Decide: the greedy heuristic (optionally refined by simulated
 //     annealing) proposes a target configuration; vadapt.Diff turns the
 //     current->target difference into typed steps, and a vadapt.Gate
@@ -32,18 +33,21 @@
 // A path measurement has one shape on every route into the sense phase:
 //
 //	wren.Monitor.Scan -> PathObservation.Record() -> coord.Record
-//	  -> { "wren" control report -> vnet.GlobalView
+//	  -> { "wren" control report -> vnet.GlobalView.Store (HubProber.Kick too)
 //	     | coord.Store -> BuildMap -> published BandwidthMap
 //	     | Wren SOAP service }
-//	  -> sense chain link: func(from, to string) (coord.Record, bool)
+//	  -> sense.freshest: the freshest At wins
 //	  -> PathProvenance
 //
-// ViewSource and SOAPSource answer every host pair through the same
-// ordered chain (demanded direction, then reverse, per link; then hub-leg
-// composition where there is a hub; then defaults) and differ only in
-// their first link. Record.At is the observation time and nothing
-// re-stamps it on receipt, so PathProvenance.AgeSec and Fusion.StaleAfter
-// mean the same on every route. The shapes that remain each add
+// ViewSource and SOAPSource answer every host pair by the same rule: of
+// the records with a bandwidth for the demanded direction, across every
+// store and the published map, the one observed last; with none, the same
+// for the reverse direction; then hub-leg composition where there is a
+// hub; then defaults. A tie in At goes to the earlier source (stores,
+// then map), and a record stamped after the sense time counts as stamped
+// at it. Record.At is the observation time and nothing re-stamps it on
+// receipt, so PathProvenance.AgeSec and Fusion.StaleAfter mean the same
+// on every route. The shapes that remain each add
 // something: estimator.Estimate (bracket and window count — the monitor's
 // per-path SIC and the estimator zoo both return it), wren.PathObservation
 // (one monitor row, before the bracket is dropped), coord.Record (the path

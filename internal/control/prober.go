@@ -12,10 +12,12 @@ import (
 	"freemeasure/internal/wren/coord"
 )
 
-// HubProber answers Fusion.OnDemand for a hub daemon with the bottleneck
-// of the hub's star legs to both endpoints, the composition ViewSource
-// uses for hub-legs estimates. Each leg is a self-loading estimator fed by
-// vnet.Daemon.Probe trains that the hub's own Wren monitor observes.
+// HubProber is a hub daemon's Fusion.Kick: it stores, as a record of kind
+// "active", the bottleneck of the hub's star legs to both endpoints — the
+// composition ViewSource uses for hub-legs estimates — in the hub view's
+// store, where every later read finds it. Each leg is a self-loading
+// estimator fed by vnet.Daemon.Probe trains that the hub's own Wren
+// monitor observes.
 //
 // Probing is asynchronous and budgeted. Every train leaves the hub over
 // its one uplink, and a self-loading train reads another sharing it as
@@ -24,6 +26,7 @@ import (
 // at most once per staleAfter. The control loop never blocks on a train.
 type HubProber struct {
 	set    *estimator.Set
+	store  *coord.MemStore
 	logger *slog.Logger
 	// staleAfter is how old a leg estimate may be before a new train is
 	// kicked, and also the floor between two kicks at the same peer.
@@ -39,16 +42,16 @@ type HubProber struct {
 	lastKick map[string]time.Time
 }
 
-// NewHubProber wires a prober to the hub daemon d and its monitor's
-// train feed.
-func NewHubProber(d *vnet.Daemon, mon *wren.Monitor, staleAfter time.Duration, logger *slog.Logger) (*HubProber, error) {
+// NewHubProber wires a prober to the hub daemon d, its monitor's train
+// feed and the store of the hub's view.
+func NewHubProber(d *vnet.Daemon, mon *wren.Monitor, store *coord.MemStore, staleAfter time.Duration, logger *slog.Logger) (*HubProber, error) {
 	set, err := estimator.NewSet("selfload", estimator.Config{MaxAge: staleAfter.Nanoseconds()})
 	if err != nil {
 		return nil, err
 	}
 	mon.SetTrainHook(set.Observe)
 	return &HubProber{
-		set: set, logger: logger, staleAfter: staleAfter,
+		set: set, store: store, logger: logger, staleAfter: staleAfter,
 		now: time.Now,
 		probe: func(peer string, pr estimator.Probe) error {
 			return d.Probe(peer, pr.RateMbps, pr.Packets, pr.SizeBytes)
@@ -58,21 +61,22 @@ func NewHubProber(d *vnet.Daemon, mon *wren.Monitor, staleAfter time.Duration, l
 	}, nil
 }
 
-// OnDemand answers the controller with min(leg(from), leg(to)), observed
-// when the older leg was; ok is false until both legs have an estimate.
-func (p *HubProber) OnDemand(from, to string) (coord.Record, bool) {
+// Kick probes the legs to from and to that are missing or stale and,
+// once both have an estimate, Puts min(leg(from), leg(to)) for the pair,
+// observed when the older leg was.
+func (p *HubProber) Kick(from, to string) {
 	now := p.now()
 	a, okA := p.leg(from, now)
 	b, okB := p.leg(to, now)
 	if !okA || !okB {
-		return coord.Record{}, false
+		return
 	}
-	return coord.Record{
+	p.store.Put(coord.Record{
 		Path: coord.Path{From: from, To: to},
 		At:   min(a.At, b.At),
 		Mbps: math.Min(a.Mbps, b.Mbps),
 		Kind: "active",
-	}, true
+	})
 }
 
 // leg returns the current estimate for the hub->peer leg, kicking off a

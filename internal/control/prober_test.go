@@ -17,6 +17,7 @@ import (
 	"freemeasure/internal/vnet"
 	"freemeasure/internal/vttif"
 	"freemeasure/internal/wren"
+	"freemeasure/internal/wren/coord"
 )
 
 // syncBuffer is a log sink the prober's train goroutines may write to
@@ -75,15 +76,16 @@ func testHubProberBudget(t *testing.T, step time.Duration) {
 		capacity[peer] = float64(20 * (i + 1))
 	}
 
-	// The fake clock ends where the wall clock starts, so the wall-clock
-	// ages the sense chain computes stay comparable to fake-clock ones.
+	// The fake clock ends where the wall clock starts; the sense phase
+	// reads the same fake clock as the prober.
 	wallStart := time.Now()
 	var clock atomic.Int64
 	start := wallStart.Add(-(cycles + 1) * step)
 	clock.Store(start.UnixNano())
 	logs := &syncBuffer{}
+	view := vnet.NewGlobalView(vttif.Config{Alpha: 1, HoldUpdates: 1})
 	// No daemon: the fake transport below replaces Daemon.Probe.
-	p, err := NewHubProber(nil, wren.NewMonitor("hub", wren.Config{}), staleAfter,
+	p, err := NewHubProber(nil, wren.NewMonitor("hub", wren.Config{}), view.Store, staleAfter,
 		slog.New(slog.NewTextHandler(logs, nil)))
 	if err != nil {
 		t.Fatal(err)
@@ -123,10 +125,11 @@ func testHubProberBudget(t *testing.T, step time.Duration) {
 	}
 
 	src := &ViewSource{
-		View:   vnet.NewGlobalView(vttif.Config{Alpha: 1, HoldUpdates: 1}),
+		View:   view,
 		Hosts:  func() []string { return peers },
 		VMs:    func() []VMInfo { return nil },
-		Fusion: &Fusion{StaleAfter: staleAfter, OnDemand: p.OnDemand},
+		Fusion: &Fusion{StaleAfter: staleAfter, Kick: p.Kick},
+		now:    p.now,
 	}
 	sense := func() *Snapshot {
 		t.Helper()
@@ -243,7 +246,7 @@ func testHubProberBudget(t *testing.T, step time.Duration) {
 // next, back to back, in the order of their last kick, never-kicked peers
 // first; a queued peer still within its floor is dropped.
 func TestHubProberQueuesOldestFirst(t *testing.T) {
-	p, err := NewHubProber(nil, wren.NewMonitor("hub", wren.Config{}), 5*time.Second,
+	p, err := NewHubProber(nil, wren.NewMonitor("hub", wren.Config{}), coord.NewMemStore(), 5*time.Second,
 		slog.New(slog.NewTextHandler(io.Discard, nil)))
 	if err != nil {
 		t.Fatal(err)

@@ -58,11 +58,11 @@ type PathProvenance struct {
 	// measurement in the demanded direction), "reverse" (the opposite
 	// direction's measurement, used because passive measurement only sees
 	// directions the application sends in), "map" (an entry from the
-	// coordination tier's published bandwidth map, consulted when the live
-	// view has nothing), "hub-legs" (composed from the two star legs
-	// through the hub), "active-probe" (an on-demand active measurement
-	// supplied by the fusion hook because the passive plane had nothing
-	// fresh), or "default" (nothing measured).
+	// coordination tier's published bandwidth map), "active-probe" (a
+	// record of kind "active", stored by a hub prober), "hub-legs"
+	// (composed from the two star legs through the hub), or "default"
+	// (nothing measured). Among the records of a direction the freshest
+	// observation answers, whichever route delivered it.
 	Source string `json:"source"`
 	// Kind and Quality describe the Wren estimator that produced a
 	// measured value (kind "active" for an active probe, "" / 0 for
@@ -117,36 +117,31 @@ type ViewSource struct {
 	// Hub is the star hub's daemon name, used to compose unmeasured paths
 	// from their two star legs (default "proxy").
 	Hub string
-	// Fusion, when non-nil, supplements the passive view with on-demand
-	// active measurements: pairs the passive plane never measured (or
-	// whose measurement has gone stale) are offered to Fusion.OnDemand
-	// before falling back to defaults. The passive estimate always wins
-	// while fresh — active probing costs the path real bytes, so it is the
-	// exception, not the rule.
+	// Fusion, when non-nil, asks for active measurements where the passive
+	// plane has nothing fresh: a pair whose answer is the default or older
+	// than Fusion.StaleAfter is kicked and read again. Active probing costs
+	// the path real bytes, so it is the exception, not the rule.
 	Fusion *Fusion
 	// Map, when non-nil, returns the latest published coordination-tier
-	// bandwidth map (nil when none has been published or fetched yet). It
-	// is consulted after the live shard views and before hub-leg
-	// composition: a map entry is a real measurement of the exact pair,
-	// just possibly older than the live view, so it beats anything
-	// composed or defaulted. Like the live path, the reverse direction's
-	// entry stands in when the demanded one is absent.
+	// bandwidth map (nil when none has been published or fetched yet). Its
+	// entries compete with the live views' records by observation time.
 	Map func() *coord.BandwidthMap
+	// now is the sense clock (time.Now when nil).
+	now func() time.Time
 }
 
-// Fusion is the passive/active winner-fusion policy: passive (free)
-// estimates by default, an active probe estimate only when the passive
-// plane has nothing fresh to offer for a pair the controller needs.
+// Fusion is the passive/active policy: passive (free) estimates by
+// default, an active measurement only for a pair the passive plane has
+// nothing fresh for.
 type Fusion struct {
-	// StaleAfter is the passive-measurement age beyond which OnDemand is
-	// consulted (default 30s).
+	// StaleAfter is the age beyond which a pair's answer is kicked
+	// (default 30s).
 	StaleAfter time.Duration
-	// OnDemand returns an active measurement of the pair — its bandwidth
-	// and observation time — or ok=false when none is available (yet).
-	// Implementations should kick off probing on first request and answer
-	// from their latest belief — the control loop will be back next cycle.
-	// HubProber.OnDemand is the hub daemon's implementation.
-	OnDemand func(from, to string) (coord.Record, bool)
+	// Kick asks for an active measurement of the pair without blocking. An
+	// implementation Puts what it already holds into a sensed view's store,
+	// where the read that follows finds it, and starts probing for a later
+	// cycle. HubProber.Kick is the hub daemon's implementation.
+	Kick func(from, to string)
 }
 
 func (f *Fusion) staleAfter() float64 {
@@ -156,72 +151,26 @@ func (f *Fusion) staleAfter() float64 {
 	return f.StaleAfter.Seconds()
 }
 
-// fuse overrides a passive estimate with an active one when the passive
-// side is missing or stale, updating the provenance to say so.
-func (f *Fusion) fuse(bw float64, prov PathProvenance) (float64, PathProvenance) {
-	if f == nil || f.OnDemand == nil {
-		return bw, prov
+// senseTime reads the sense clock, time.Now when none is injected.
+func senseTime(now func() time.Time) int64 {
+	if now == nil {
+		return time.Now().UnixNano()
 	}
-	stale := prov.Source == "default" || prov.AgeSec > f.staleAfter()
-	if !stale {
-		return bw, prov
-	}
-	r, ok := f.OnDemand(prov.From, prov.To)
-	if !ok || r.Mbps <= 0 {
-		return bw, prov
-	}
-	prov.Source = "active-probe"
-	prov.Kind, prov.Quality = r.Kind, r.Quality
-	prov.AgeSec = ageSec(r.At)
-	prov.Mbps = r.Mbps
-	return r.Mbps, prov
+	return now().UnixNano()
 }
 
-// ageSec is how long ago an observation stamped at (ns) was made, 0 when
-// it carries no timestamp.
-func ageSec(at int64) float64 {
-	if at == 0 {
-		return 0
-	}
-	return time.Since(time.Unix(0, at)).Seconds()
-}
-
-// link is one rung of the sense chain: a lookup for an exact direction,
-// and the provenance its answers carry when found forward and in reverse.
-type link struct {
-	look     func(from, to string) (coord.Record, bool)
-	fwd, rev string
-}
-
-// try asks the link for the pair, demanded direction first, then reverse;
-// a record without a bandwidth is no answer. Overlay paths are
-// near-symmetric, so the reverse measurement beats a fabricated default:
-// passive measurement only ever sees the direction the application sends
-// in, and an optimistic default on the silent reverse direction makes
-// swapping a VM pair look like a large objective gain when it changes
-// nothing.
-func (l link) try(from, to string) (coord.Record, string, bool) {
-	if r, ok := l.look(from, to); ok && r.Mbps > 0 {
-		return r, l.fwd, true
-	}
-	if r, ok := l.look(to, from); ok && r.Mbps > 0 {
-		return r, l.rev, true
-	}
-	return coord.Record{}, "", false
-}
-
-// sense is the per-Snapshot sensing context: the distinct shard views and
-// the published map are resolved once, not once per host pair, and every
-// pair is answered by the same ordered chain —
-//
-//	live shard views | SOAP endpoints -> published bandwidth map -> hub-leg composition -> defaults
-//
-// — the measured links tried in both directions.
+// sense is the per-Snapshot sensing context: the distinct shard views,
+// the published map and the sense time are resolved once, not once per
+// host pair, and every pair is answered by the same rule (freshest).
 type sense struct {
-	views  []*vnet.GlobalView
-	chain  []link
-	hub    string // "" when there is no star to compose legs through
+	views []*vnet.GlobalView
+	// stores are the record lookups: the views' stores, or SOAPSource's
+	// endpoints.
+	stores []func(coord.Path) (coord.Record, bool)
+	bwmap  *coord.BandwidthMap // nil when none has been published
+	hub    string              // "" when there is no star to compose legs through
 	fusion *Fusion
+	now    int64 // the sense time, unix nanoseconds
 }
 
 // The defaults: the assumed capacity and latency of a path until Wren has
@@ -231,51 +180,83 @@ const (
 	defaultLatencyMs = 1
 )
 
-// newSense resolves the source's configuration for one snapshot. The
-// live-view link aggregates View and Shards (nils and duplicates skipped);
-// the map link is present only when a map has been published.
+// newSense resolves the source's configuration for one snapshot: View and
+// Shards with nils and duplicates skipped, and the map if one has been
+// published.
 func (s *ViewSource) newSense() *sense {
-	sn := &sense{
-		hub:    cmp.Or(s.Hub, "proxy"),
-		fusion: s.Fusion,
-	}
+	sn := &sense{hub: cmp.Or(s.Hub, "proxy"), fusion: s.Fusion, now: senseTime(s.now)}
 	for _, v := range append([]*vnet.GlobalView{s.View}, s.Shards...) {
 		if v != nil && !slices.Contains(sn.views, v) {
 			sn.views = append(sn.views, v)
+			sn.stores = append(sn.stores, v.Store.Get)
 		}
 	}
-	sn.chain = []link{{look: sn.lookLive, fwd: "direct", rev: "reverse"}}
 	if s.Map != nil {
-		// A map entry is a real measurement of the exact pair, just possibly
-		// older than the live view, so it ranks after it and before anything
-		// composed or defaulted.
-		if m := s.Map(); m != nil {
-			sn.chain = append(sn.chain, link{look: m.Lookup, fwd: "map", rev: "map"})
-		}
+		sn.bwmap = s.Map()
 	}
 	return sn
 }
 
-// lookLive finds the pair's Wren measurement across all shard views,
-// preferring the freshest observation when several shards have one (a
-// host that re-homed leaves a stale copy at its old shard).
-func (sn *sense) lookLive(from, to string) (coord.Record, bool) {
-	var best coord.Record
-	found := false
-	for _, v := range sn.views {
-		if r, ok := v.Path(from, to); ok && (!found || r.At > best.At) {
-			best, found = r, true
-		}
+// ageSec is how long before the sense time an observation stamped at (ns)
+// was made, 0 when it carries no timestamp.
+func (sn *sense) ageSec(at int64) float64 {
+	if at == 0 {
+		return 0
 	}
-	return best, found
+	return float64(sn.now-at) / 1e9
 }
 
-// tail ends the chain for a pair nothing measured directly: the two star
-// legs through the hub composed (bottleneck of the bandwidths, capped at
-// the default; sum of the latencies; the older leg's timestamp; the
-// bottleneck leg's estimator) when the live view has either, otherwise
-// the defaults. On the initial star topology all traffic transits the
-// hub, so the leg measurements are what Wren actually has.
+// freshest is the one rule for which record answers a pair: of the
+// records with a bandwidth that the stores and the map hold for the
+// demanded direction, the one observed last; with none, the same for the
+// reverse direction. Overlay paths are near-symmetric, so the reverse
+// measurement beats a fabricated default: passive measurement only ever
+// sees the direction the application sends in, and an optimistic default
+// on the silent reverse direction makes swapping a VM pair look like a
+// large objective gain when it changes nothing.
+//
+// A tie in At goes to the earlier source — the stores in order, then the
+// map — so records without timestamps are read in that fixed order. A
+// record stamped after the sense time (its reporter's clock runs ahead)
+// counts as stamped at the sense time, for the comparison and for its
+// age, so a skewed clock cannot outrank a measurement just as fresh.
+func (sn *sense) freshest(from, to string) (coord.Record, string, bool) {
+	for i, p := range [2]coord.Path{{From: from, To: to}, {From: to, To: from}} {
+		var best coord.Record
+		found, fromMap := false, false
+		consider := func(r coord.Record, ok, isMap bool) {
+			r.At = min(r.At, sn.now)
+			if ok && r.Mbps > 0 && (!found || r.At > best.At) {
+				best, found, fromMap = r, true, isMap
+			}
+		}
+		for _, get := range sn.stores {
+			r, ok := get(p)
+			consider(r, ok, false)
+		}
+		r, ok := sn.bwmap.Lookup(p.From, p.To)
+		consider(r, ok, true)
+		switch {
+		case !found:
+			continue
+		case best.Kind == "active":
+			return best, "active-probe", true
+		case fromMap:
+			return best, "map", true
+		case i == 0:
+			return best, "direct", true
+		}
+		return best, "reverse", true
+	}
+	return coord.Record{}, "", false
+}
+
+// tail answers a pair nothing measured directly: the two star legs
+// through the hub composed (bottleneck of the bandwidths, capped at the
+// default; sum of the latencies; the older leg's timestamp; the
+// bottleneck leg's estimator) when either leg has a record, otherwise the
+// defaults. On the initial star topology all traffic transits the hub, so
+// the leg measurements are what Wren actually has.
 func (sn *sense) tail(from, to string) (coord.Record, string) {
 	r, source := coord.Record{Mbps: defaultLinkMbps}, "default"
 	if sn.hub == "" {
@@ -283,7 +264,7 @@ func (sn *sense) tail(from, to string) (coord.Record, string) {
 	}
 	for _, leg := range [2][2]string{{from, sn.hub}, {sn.hub, to}} {
 		// Either direction of a leg will do; its own source name is dropped.
-		p, _, ok := link{look: sn.lookLive}.try(leg[0], leg[1])
+		p, _, ok := sn.freshest(leg[0], leg[1])
 		if !ok {
 			continue
 		}
@@ -299,29 +280,31 @@ func (sn *sense) tail(from, to string) (coord.Record, string) {
 	return r, source
 }
 
-// read walks the chain: the first link with an answer, else the tail.
+// read answers a pair: the freshest record, else the tail.
 func (sn *sense) read(from, to string) (coord.Record, string) {
-	for _, l := range sn.chain {
-		if r, source, ok := l.try(from, to); ok {
-			return r, source
-		}
+	if r, source, ok := sn.freshest(from, to); ok {
+		return r, source
 	}
 	return sn.tail(from, to)
 }
 
 // estimate returns the believed (bandwidth, latency) between two daemons
-// and their provenance. Whatever the chain read, this is the one place it
+// and their provenance. Whatever was read, this is the one place it
 // becomes a PathProvenance — age is time since the observation, not since
-// the report that carried it — and the one place fusion may override it.
+// the report that carried it — and the one place fusion kicks: a kicked
+// pair is read again, so a record the kick stored answers this cycle.
 func (sn *sense) estimate(from, to string) (bw, lat float64, prov PathProvenance) {
 	r, source := sn.read(from, to)
+	if f := sn.fusion; f != nil && (source == "default" || sn.ageSec(r.At) > f.staleAfter()) {
+		f.Kick(from, to)
+		r, source = sn.read(from, to)
+	}
 	bw, lat = r.Mbps, r.LatencyMs
 	if lat <= 0 {
 		lat = defaultLatencyMs
 	}
 	prov = PathProvenance{From: from, To: to, Mbps: bw, LatencyMs: lat,
-		Source: source, Kind: r.Kind, Quality: r.Quality, AgeSec: ageSec(r.At)}
-	bw, prov = sn.fusion.fuse(bw, prov)
+		Source: source, Kind: r.Kind, Quality: r.Quality, AgeSec: sn.ageSec(r.At)}
 	return bw, lat, prov
 }
 
@@ -448,15 +431,17 @@ type SOAPSource struct {
 	Timeout time.Duration
 
 	clients []*wren.Client
+	// now is the sense clock (time.Now when nil).
+	now func() time.Time
 }
 
 // defaultSOAPTimeout caps one sense-phase SOAP call when none is
 // configured.
 const defaultSOAPTimeout = 5 * time.Second
 
-// newSense dials the endpoints on first use and builds the SOAP chain:
-// like ViewSource, the reverse direction's measurement stands in before
-// the defaults; there is no hub to compose legs through.
+// newSense dials the endpoints on first use. Its one store is the SOAP
+// lookup, read by the same rule as ViewSource's; there is no hub to
+// compose legs through.
 func (s *SOAPSource) newSense() *sense {
 	if s.clients == nil {
 		s.clients = make([]*wren.Client, len(s.Endpoints))
@@ -465,7 +450,7 @@ func (s *SOAPSource) newSense() *sense {
 			s.clients[i].SetTimeout(cmp.Or(s.Timeout, defaultSOAPTimeout))
 		}
 	}
-	return &sense{chain: []link{{look: s.lookSOAP, fwd: "direct", rev: "reverse"}}}
+	return &sense{stores: []func(coord.Path) (coord.Record, bool){s.lookSOAP}, now: senseTime(s.now)}
 }
 
 // Snapshot implements ProblemSource.
@@ -491,18 +476,17 @@ func (s *SOAPSource) Snapshot() (*Snapshot, error) {
 	}, nil
 }
 
-// lookSOAP asks from's Wren service for its measurement toward to. An
-// endpoint that errors or has nothing is no answer; the service exposes no
-// observation time, so the record carries none.
-func (s *SOAPSource) lookSOAP(from, to string) (coord.Record, bool) {
-	c := s.clients[slices.Index(s.Hosts, from)]
-	est, found, err := c.AvailableBandwidth(to)
+// lookSOAP asks p.From's Wren service for its measurement toward p.To.
+// An endpoint that errors or has nothing is no answer; the service exposes
+// no observation time, so the record carries none.
+func (s *SOAPSource) lookSOAP(p coord.Path) (coord.Record, bool) {
+	c := s.clients[slices.Index(s.Hosts, p.From)]
+	est, found, err := c.AvailableBandwidth(p.To)
 	if err != nil || !found {
 		return coord.Record{}, false
 	}
-	rec := coord.Record{Path: coord.Path{From: from, To: to}, Mbps: est.Mbps,
-		Kind: est.Kind.String(), Quality: est.Quality}
-	if l, found, err := c.Latency(to); err == nil && found {
+	rec := coord.Record{Path: p, Mbps: est.Mbps, Kind: est.Kind.String(), Quality: est.Quality}
+	if l, found, err := c.Latency(p.To); err == nil && found {
 		rec.LatencyMs = l
 	}
 	return rec, true

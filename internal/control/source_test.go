@@ -29,6 +29,13 @@ func measured(from, to string, mbps float64, age time.Duration) coord.Record {
 		At: time.Now().Add(-age).UnixNano()}
 }
 
+// active is a hub prober's record of the pair, observed age ago.
+func active(from, to string, mbps float64, age time.Duration) coord.Record {
+	r := measured(from, to, mbps, age)
+	r.Kind = "active"
+	return r
+}
+
 // fusionView builds a ViewSource over a bare GlobalView with the given
 // fusion hook.
 func fusionView(f *Fusion) (*ViewSource, *vnet.GlobalView) {
@@ -43,15 +50,15 @@ func fusionView(f *Fusion) (*ViewSource, *vnet.GlobalView) {
 }
 
 // TestFusionFillsUnmeasuredPair: a pair the passive plane never measured
-// gets the active estimate, attributed as "active-probe".
+// is kicked, and the active record the kick stores answers it at once,
+// attributed as "active-probe".
 func TestFusionFillsUnmeasuredPair(t *testing.T) {
 	var asked [][2]string
-	src, _ := fusionView(&Fusion{
-		OnDemand: func(from, to string) (coord.Record, bool) {
-			asked = append(asked, [2]string{from, to})
-			return coord.Record{Mbps: 42}, true
-		},
-	})
+	src, view := fusionView(&Fusion{})
+	src.Fusion.Kick = func(from, to string) {
+		asked = append(asked, [2]string{from, to})
+		view.Store.Put(active(from, to, 42, 0))
+	}
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 42 {
 		t.Fatalf("bandwidth = %v, want the active 42", bw)
@@ -60,20 +67,19 @@ func TestFusionFillsUnmeasuredPair(t *testing.T) {
 		t.Fatalf("provenance = %+v, want active-probe/42", prov)
 	}
 	if len(asked) != 1 || asked[0] != [2]string{"a", "b"} {
-		t.Fatalf("OnDemand calls = %v", asked)
+		t.Fatalf("Kick calls = %v", asked)
 	}
 }
 
-// TestFusionDefersToFreshPassive: a fresh passive measurement wins and
-// the active hook is never consulted.
+// TestFusionDefersToFreshPassive: a fresh passive measurement answers and
+// the pair is never kicked.
 func TestFusionDefersToFreshPassive(t *testing.T) {
 	src, view := fusionView(&Fusion{
-		OnDemand: func(from, to string) (coord.Record, bool) {
-			t.Fatalf("OnDemand consulted despite fresh passive measurement (%s->%s)", from, to)
-			return coord.Record{}, false
+		Kick: func(from, to string) {
+			t.Fatalf("kicked despite fresh passive measurement (%s->%s)", from, to)
 		},
 	})
-	view.SetPath(measured("a", "b", 77, 0))
+	view.Store.Put(measured("a", "b", 77, 0))
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 77 || prov.Source != "direct" {
 		t.Fatalf("got %v/%s, want the passive 77/direct", bw, prov.Source)
@@ -81,13 +87,11 @@ func TestFusionDefersToFreshPassive(t *testing.T) {
 }
 
 // TestFusionOverridesStalePassive: once the passive measurement ages past
-// StaleAfter the active estimate takes over.
+// StaleAfter the pair is kicked, and the fresher active record answers.
 func TestFusionOverridesStalePassive(t *testing.T) {
-	src, view := fusionView(&Fusion{
-		StaleAfter: 10 * time.Second,
-		OnDemand:   func(from, to string) (coord.Record, bool) { return coord.Record{Mbps: 33}, true },
-	})
-	view.SetPath(measured("a", "b", 77, time.Minute))
+	src, view := fusionView(&Fusion{StaleAfter: 10 * time.Second})
+	src.Fusion.Kick = func(from, to string) { view.Store.Put(active(from, to, 33, time.Second)) }
+	view.Store.Put(measured("a", "b", 77, time.Minute))
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 33 || prov.Source != "active-probe" {
 		t.Fatalf("got %v/%s, want the active 33/active-probe", bw, prov.Source)
@@ -95,16 +99,17 @@ func TestFusionOverridesStalePassive(t *testing.T) {
 }
 
 // TestFusionActiveRecordKeepsItsAge: an active answer is aged from its
-// own observation time, like every other record on the sense chain — a
-// leg measured 5 s ago is reported 5 s old, not fresh.
+// own observation time, like every other record — a leg measured 5 s ago
+// is reported 5 s old, not fresh.
 func TestFusionActiveRecordKeepsItsAge(t *testing.T) {
-	src, _ := fusionView(&Fusion{
-		OnDemand: func(from, to string) (coord.Record, bool) {
-			r := measured(from, to, 33, 5*time.Second)
-			r.Kind = "active"
-			return r, true
-		},
-	})
+	src, view := fusionView(&Fusion{})
+	now := time.Now()
+	src.now = func() time.Time { return now }
+	src.Fusion.Kick = func(from, to string) {
+		r := active(from, to, 33, 0)
+		r.At = now.Add(-5 * time.Second).UnixNano()
+		view.Store.Put(r)
+	}
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 33 || prov.Source != "active-probe" || prov.Kind != "active" {
 		t.Fatalf("got %v/%s/%s, want the active 33/active-probe/active", bw, prov.Source, prov.Kind)
@@ -116,14 +121,14 @@ func TestFusionActiveRecordKeepsItsAge(t *testing.T) {
 
 // TestReportedObservationKeepsItsAge is the regression test for the
 // re-stamping bug: a "wren" control report whose record was observed an
-// hour ago must reach the sense chain an hour old — not as fresh as the
-// report that carried it — so the fusion policy sees it is stale and asks
-// the active plane.
+// hour ago must reach the sense phase an hour old — not as fresh as the
+// report that carried it — so the fusion policy sees it is stale and
+// kicks the active plane.
 func TestReportedObservationKeepsItsAge(t *testing.T) {
 	asked := 0
 	src, view := fusionView(&Fusion{
 		StaleAfter: 30 * time.Second,
-		OnDemand:   func(from, to string) (coord.Record, bool) { asked++; return coord.Record{}, false },
+		Kick:       func(from, to string) { asked++ },
 	})
 	at := time.Now().Add(-time.Hour).UnixNano()
 	view.HandleControl("a", []byte(fmt.Sprintf(
@@ -136,16 +141,14 @@ func TestReportedObservationKeepsItsAge(t *testing.T) {
 		t.Fatalf("age_sec = %v, want the observation's ~3600, not the report's", prov.AgeSec)
 	}
 	if asked != 1 {
-		t.Fatalf("OnDemand consulted %d times for an hour-old measurement, want 1", asked)
+		t.Fatalf("kicked %d times for an hour-old measurement, want 1", asked)
 	}
 }
 
-// TestFusionFallsThroughWhenActiveHasNothing: an ok=false answer leaves
-// the default estimate and its provenance untouched.
+// TestFusionFallsThroughWhenActiveHasNothing: a kick that stores nothing
+// leaves the default estimate and its provenance untouched.
 func TestFusionFallsThroughWhenActiveHasNothing(t *testing.T) {
-	src, _ := fusionView(&Fusion{
-		OnDemand: func(from, to string) (coord.Record, bool) { return coord.Record{}, false },
-	})
+	src, _ := fusionView(&Fusion{Kick: func(from, to string) {}})
 	bw, _, prov := src.estimate("a", "b")
 	if prov.Source != "default" || bw != 100 {
 		t.Fatalf("got %v/%s, want the 100/default fallback", bw, prov.Source)
@@ -176,13 +179,13 @@ func TestViewSourceAggregatesShardPaths(t *testing.T) {
 		VMs:    func() []VMInfo { return nil },
 	}
 	// Only shard2 holds the measurement.
-	shard2.SetPath(measured("a", "b", 55, 0))
+	shard2.Store.Put(measured("a", "b", 55, 0))
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 55 || prov.Source != "direct" {
 		t.Fatalf("got %v/%s, want 55/direct from the second shard", bw, prov.Source)
 	}
 	// A stale pre-re-home copy in shard1 must lose to shard2's fresh one.
-	shard1.SetPath(measured("a", "b", 11, time.Hour))
+	shard1.Store.Put(measured("a", "b", 11, time.Hour))
 	if bw, _, _ := src.estimate("a", "b"); bw != 55 {
 		t.Fatalf("stale shard copy won: got %v, want 55", bw)
 	}
@@ -280,7 +283,7 @@ func TestLiveViewBeatsMap(t *testing.T) {
 	src, view := mapView(&coord.BandwidthMap{Entries: []coord.Record{
 		{Path: coord.Path{From: "a", To: "b"}, Mbps: 10},
 	}})
-	view.SetPath(measured("a", "b", 90, 0))
+	view.Store.Put(measured("a", "b", 90, 0))
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 90 || prov.Source != "direct" {
 		t.Fatalf("got %v/%s, want the live 90/direct over the map", bw, prov.Source)
@@ -288,7 +291,7 @@ func TestLiveViewBeatsMap(t *testing.T) {
 }
 
 // TestMapAbsentFallsThrough: a nil map (not fetched yet) and a missing
-// entry both fall through to the existing chain.
+// entry both fall through to the hub legs and the defaults.
 func TestMapAbsentFallsThrough(t *testing.T) {
 	src, _ := mapView(nil)
 	if bw, _, prov := src.estimate("a", "b"); bw != 100 || prov.Source != "default" {
@@ -303,15 +306,16 @@ func TestMapAbsentFallsThrough(t *testing.T) {
 }
 
 // TestFusionOverridesStaleMapEntry: the fusion policy treats an aged map
-// entry like any stale passive measurement and lets the active probe win.
+// entry like any stale passive measurement and kicks the pair, and the
+// fresher active record wins.
 func TestFusionOverridesStaleMapEntry(t *testing.T) {
-	src, _ := mapView(&coord.BandwidthMap{Entries: []coord.Record{
+	src, view := mapView(&coord.BandwidthMap{Entries: []coord.Record{
 		{Path: coord.Path{From: "a", To: "b"}, Mbps: 20,
 			At: time.Now().Add(-time.Minute).UnixNano()},
 	}})
 	src.Fusion = &Fusion{
 		StaleAfter: 10 * time.Second,
-		OnDemand:   func(from, to string) (coord.Record, bool) { return coord.Record{Mbps: 88}, true },
+		Kick:       func(from, to string) { view.Store.Put(active(from, to, 88, 0)) },
 	}
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 88 || prov.Source != "active-probe" {
@@ -363,10 +367,10 @@ func soapSense(t *testing.T, paths []coord.Record, down []string) *sense {
 	return src.newSense()
 }
 
-// TestEstimateChainComposition walks the sense chain for one pair, a->b,
-// over both measured first links. On a star's live view: nothing
-// measured, the two hub legs composed, a direct measurement outranking
-// the legs, and the reverse direction standing in. Over SOAP endpoints:
+// TestEstimateChainComposition reads one pair, a->b, from both kinds of
+// store. On a star's live view: nothing measured, the two hub legs
+// composed, a direct measurement outranking the legs, and the reverse
+// direction standing in. Over SOAP endpoints:
 // the same direct -> reverse -> default order with no hub to compose
 // through and no observation time to age. Each row pins the numbers and
 // the provenance (source, estimator kind, age).
@@ -383,7 +387,7 @@ func TestEstimateChainComposition(t *testing.T) {
 	cases := []struct {
 		name           string
 		paths          []coord.Record
-		soap           bool     // sensed by SOAPSource's chain, not ViewSource's
+		soap           bool     // sensed through SOAPSource, not ViewSource
 		down           []string // SOAP hosts whose endpoint fails every call
 		bw, lat        float64
 		source, kind   string
@@ -432,7 +436,7 @@ func TestEstimateChainComposition(t *testing.T) {
 			} else {
 				src, view := fusionView(nil)
 				for _, r := range tc.paths {
-					view.SetPath(r)
+					view.Store.Put(r)
 				}
 				sn = src.newSense()
 			}

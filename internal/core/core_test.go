@@ -12,6 +12,7 @@ import (
 	"freemeasure/internal/vnet"
 	"freemeasure/internal/vsched"
 	"freemeasure/internal/vttif"
+	"freemeasure/internal/wren/coord"
 )
 
 func waitFor(t *testing.T, what string, timeout time.Duration, cond func() bool) {
@@ -101,11 +102,11 @@ func slowHostSystem(t *testing.T) (s *System, v1, v2 *vm.VM) {
 	// leave VM2 on the slow host. Generous under -race on a loaded CI
 	// worker; the wait exits as soon as the condition holds.
 	measuredAbove := func(a, b string, floor float64) bool {
-		pm, ok := s.Overlay().View.Path(a, b)
+		pm, ok := s.Overlay().View.Store.Get(coord.Path{From: a, To: b})
 		return ok && pm.Mbps > floor
 	}
 	waitFor(t, "views", 45*time.Second, func() bool {
-		slow, ok := s.Overlay().View.Path("slowhost", "proxy")
+		slow, ok := s.Overlay().View.Store.Get(coord.Path{From: "slowhost", To: "proxy"})
 		return demandsSeen(s) && ok && slow.Mbps > 0 && slow.Mbps < 40 &&
 			measuredAbove("fast1", "proxy", 20) &&
 			measuredAbove("proxy", "fast1", 20)

@@ -414,6 +414,6 @@ func (o *Overlay) ShardViews() map[string]*GlobalView {
 func proxySelfMeasure(p *Node, v *GlobalView) {
 	p.Wren.Poll()
 	for _, po := range p.Wren.Scan() {
-		v.SetPath(po.Record())
+		v.Store.Put(po.Record())
 	}
 }

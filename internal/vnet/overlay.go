@@ -4,7 +4,6 @@ import (
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
-	"sort"
 	"sync"
 	"time"
 
@@ -52,17 +51,16 @@ func hexToMAC(s string) (ethernet.MAC, error) {
 // of VNET daemons that exchange traffic. "In practice, only those pairs
 // whose VNET daemons exchange messages have entries."
 type GlobalView struct {
-	mu    sync.Mutex
-	Agg   *vttif.Aggregator
-	paths map[coord.Path]coord.Record
+	Agg *vttif.Aggregator
+	// Store holds the freshest record of every measured path: the Wren
+	// reports that arrive as control messages, the Proxy's own monitor,
+	// and whatever else the Proxy measures (a hub prober's active records).
+	Store *coord.MemStore
 }
 
 // NewGlobalView creates an empty view.
 func NewGlobalView(cfg vttif.Config) *GlobalView {
-	return &GlobalView{
-		Agg:   vttif.NewAggregator(cfg),
-		paths: make(map[coord.Path]coord.Record),
-	}
+	return &GlobalView{Agg: vttif.NewAggregator(cfg), Store: coord.NewMemStore()}
 }
 
 // HandleControl is the Proxy's control handler: mount it with
@@ -94,43 +92,17 @@ func (g *GlobalView) HandleControl(fromPeer string, payload []byte) {
 		// A report describes the sender's own outgoing paths, and the link
 		// it arrived on — not the payload — says who the sender is. The
 		// observation time stays the reporter's: stamping receipt time here
-		// would make a long-silent path look fresh at every report.
+		// would make a long-silent path look fresh at every report. The
+		// store refuses a record without one (a latency-only row, which no
+		// estimate reads).
 		for _, rec := range msg.Wren {
 			if rec.Path.To == "" {
 				continue
 			}
 			rec.Path.From = fromPeer
-			g.SetPath(rec)
+			g.Store.Put(rec)
 		}
 	}
-}
-
-// SetPath records one measurement directly (used by the Proxy's own Wren
-// monitor, which has no link to push through).
-func (g *GlobalView) SetPath(rec coord.Record) {
-	g.mu.Lock()
-	g.paths[rec.Path] = rec
-	g.mu.Unlock()
-}
-
-// Path returns the measurement for the daemon pair (from, to).
-func (g *GlobalView) Path(from, to string) (coord.Record, bool) {
-	g.mu.Lock()
-	defer g.mu.Unlock()
-	rec, ok := g.paths[coord.Path{From: from, To: to}]
-	return rec, ok
-}
-
-// Paths returns the whole physical-network view, sorted by path.
-func (g *GlobalView) Paths() []coord.Record {
-	g.mu.Lock()
-	out := make([]coord.Record, 0, len(g.paths))
-	for _, rec := range g.paths {
-		out = append(out, rec)
-	}
-	g.mu.Unlock()
-	sort.Slice(out, func(i, j int) bool { return out[i].Path.Less(out[j].Path) })
-	return out
 }
 
 // Node is one assembled overlay member: a daemon plus its Wren monitor and

@@ -125,7 +125,7 @@ func TestGlobalViewWrenPush(t *testing.T) {
 	}()
 	defer close(stop)
 	waitFor(t, "wren path measurement at proxy", func() bool {
-		p, ok := o.View.Path("h1", "proxy")
+		p, ok := o.View.Store.Get(coord.Path{From: "h1", To: "proxy"})
 		return ok && (p.Mbps > 0 || p.LatencyMs > 0)
 	})
 }
@@ -133,7 +133,8 @@ func TestGlobalViewWrenPush(t *testing.T) {
 // TestWrenReportWireFormat pins the "wren" control report: coord.Record
 // as JSON, the optional fields absent when zero, unknown fields ignored on
 // receipt, and the view keyed by the link the report arrived on rather
-// than by what the payload claims.
+// than by what the payload claims. A record without an observation time
+// goes on the wire but not into the view's store.
 func TestWrenReportWireFormat(t *testing.T) {
 	full := coord.Record{Path: coord.Path{From: "h1", To: "h2"}, At: 1700000000123456789,
 		Mbps: 42.5, LatencyMs: 1.25, Kind: "lower-bound", Quality: 0.75}
@@ -152,11 +153,14 @@ func TestWrenReportWireFormat(t *testing.T) {
 	view := NewGlobalView(vttif.Config{})
 	view.HandleControl("h1", raw)
 	view.HandleControl("h9", []byte(`{"kind":"wren","hops":3,"wren":[`+
-		`{"path":{"From":"h1","To":"h4"},"mbps":9,"jitterMs":2},`+ // unknown fields; From is not the sender
+		`{"path":{"From":"h1","To":"h4"},"at":5,"mbps":9,"jitterMs":2},`+ // unknown fields; From is not the sender
 		`{"remote":"h5","mbps":9,"bwFound":true}]}`)) // a pre-Record entry: no path, dropped
-	got := view.Paths()
-	wantPaths := []coord.Record{full, bare, {Path: coord.Path{From: "h9", To: "h4"}, Mbps: 9}}
-	if !slices.Equal(got, wantPaths) {
-		t.Fatalf("view after reports = %+v\nwant %+v", got, wantPaths)
+	snap, err := view.Store.Scan(coord.Query{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	wantPaths := []coord.Record{full, {Path: coord.Path{From: "h9", To: "h4"}, At: 5, Mbps: 9}}
+	if !slices.Equal(snap.Records, wantPaths) {
+		t.Fatalf("view after reports = %+v\nwant %+v", snap.Records, wantPaths)
 	}
 }

@@ -87,6 +87,16 @@ func (s *MemStore) Scan(Query) (Snapshot, error) {
 	return snap, nil
 }
 
+// Get returns the freshest record held for path. It is MemStore's own
+// point read, not part of Store: the sense phase asks for one pair at a
+// time and must not copy and sort the whole set to do it.
+func (s *MemStore) Get(path Path) (Record, bool) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	rec, ok := s.latest[path]
+	return rec, ok
+}
+
 // Watch implements Store. buffer bounds how far the subscriber may lag
 // (minimum 1); cancel is idempotent and closes the channel.
 func (s *MemStore) Watch(buffer int) (<-chan Record, func(), error) {

@@ -26,7 +26,7 @@ func (p Path) Less(q Path) bool {
 
 // Record is one path measurement: what was measured for a path at one
 // point in time. It is the only shape a measurement has once it leaves
-// wren.Monitor — control report, store, published map and sense chain all
+// wren.Monitor — control report, store, published map and sense phase all
 // carry it unchanged. Zero Mbps or LatencyMs means "not measured", zero At
 // "no timestamp". A store holds one record per Path: the freshest by At.
 type Record struct {

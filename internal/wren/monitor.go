@@ -426,7 +426,7 @@ type PathObservation struct {
 }
 
 // Record is the one conversion from a monitor row to the path record every
-// later stage carries: control report, store, published map, sense chain.
+// later stage carries: control report, store, published map, sense phase.
 func (po PathObservation) Record() coord.Record {
 	rec := coord.Record{
 		Path: coord.Path{From: po.Origin, To: po.Remote}, At: po.At, Mbps: po.Estimate.Mbps,
