@@ -13,12 +13,11 @@ test:
 race:
 	$(GO) test -race -shuffle=on ./...
 
-# Data-plane micro-benchmarks (forwarding, Wren ingest, capture ring,
-# record codec).
+# Data-plane micro-benchmarks (forwarding, Wren ingest, record codec).
 # CI archives this output as the bench-results artifact; before/after
 # tables live in docs/OPERATIONS.md.
 bench:
-	$(GO) test -run '^$$' -bench 'Daemon|Monitor|Buffer|Frame' -benchmem -count=5 \
+	$(GO) test -run '^$$' -bench 'Daemon|Monitor|Frame' -benchmem -count=5 \
 		./internal/vnet/ ./internal/wren/ ./internal/pcap/
 
 # Relay fast-path regression fence: rerun the transit-relay benchmarks

@@ -31,7 +31,7 @@ func TestScenarioValidate(t *testing.T) {
 		{"unknown kind", Event{Fault: Fault{Kind: "melt"}, Target: "0->1"}, false},
 	}
 	for _, c := range cases {
-		s := Scenario{Name: c.name, Events: []Event{c.ev}}
+		s := Scenario{Events: []Event{c.ev}}
 		err := s.Validate()
 		if c.ok && err != nil {
 			t.Errorf("%s: unexpected error %v", c.name, err)
@@ -116,7 +116,6 @@ func TestRunnerPlayAgainstStubFabric(t *testing.T) {
 	fr := obs.NewFlightRecorder(0)
 	r := &Runner{
 		Scenario: Scenario{
-			Name: "stub",
 			Events: []Event{
 				{At: 10 * time.Millisecond, Fault: Fault{Kind: Loss, Rate: 0.1}, Target: "a", Duration: 30 * time.Millisecond},
 				{At: 20 * time.Millisecond, Fault: Fault{Kind: Partition}, Target: "b", Duration: 10 * time.Millisecond},
@@ -227,7 +226,6 @@ func runLossyPair(t *testing.T, seed int64) simnet.LinkStats {
 	cbr.SetRateAt(0, 5)
 	r := &Runner{
 		Scenario: Scenario{
-			Seed: seed,
 			Events: []Event{
 				{At: time.Second, Fault: Fault{Kind: Loss, Rate: 0.3}, Target: "0->1", Duration: 2 * time.Second},
 			},

@@ -95,8 +95,6 @@ func runPartitionScenario(t *testing.T, seed int64, fr *obs.FlightRecorder) []by
 	log := &Log{}
 	r := &Runner{
 		Scenario: Scenario{
-			Name: "partition-during-adaptation",
-			Seed: seed,
 			Events: []Event{
 				{At: 2 * time.Second, Fault: Fault{Kind: Loss, Rate: 0.05},
 					Target: fmt.Sprintf("%d->%d", d.RouterL, d.RouterR), Duration: 6 * time.Second},
@@ -198,8 +196,6 @@ func TestChaosEstimatesReconvergeAfterLoss(t *testing.T) {
 	const faultStart, faultEnd = 10, 16
 	r := &Runner{
 		Scenario: Scenario{
-			Name: "loss-episode",
-			Seed: seed,
 			Events: []Event{
 				{At: faultStart * time.Second, Fault: Fault{Kind: Loss, Rate: 0.2},
 					Target:   fmt.Sprintf("%d<->%d", d.RouterL, d.RouterR),

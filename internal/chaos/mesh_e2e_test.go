@@ -141,8 +141,6 @@ func TestChaosMeshProxyCrashRehomesAndRelearns(t *testing.T) {
 	}})
 	r := &Runner{
 		Scenario: Scenario{
-			Name:   "mesh-proxy-crash",
-			Seed:   seed,
 			Events: []Event{{At: 0, Fault: Fault{Kind: Crash}, Target: victim}},
 		},
 		Fabric: fab,
@@ -221,8 +219,6 @@ func TestChaosMeshPartitionRehomesThenOperatorRestores(t *testing.T) {
 	fab := NewOverlayFabric(o)
 	r := &Runner{
 		Scenario: Scenario{
-			Name: "mesh-home-partition",
-			Seed: seed,
 			Events: []Event{{
 				At:       0,
 				Fault:    Fault{Kind: Partition},
@@ -375,8 +371,6 @@ func TestChaosMeshMigrateSettles(t *testing.T) {
 	cut := direct[rng.Intn(len(direct))]
 	r := &Runner{
 		Scenario: Scenario{
-			Name:   "mesh-migrate-direct-partition",
-			Seed:   seed,
 			Events: []Event{{At: 0, Fault: Fault{Kind: Partition}, Target: cut, Duration: 50 * time.Millisecond}},
 		},
 		Fabric: NewOverlayFabric(o),

@@ -18,7 +18,7 @@ type Fabric interface {
 
 // Log is the deterministic record of one run: an ordered list of
 // apply/clear lines stamped with scenario-relative times. On a
-// deterministic fabric two runs of the same seeded scenario produce
+// deterministic fabric two runs of the same scenario and seed produce
 // byte-for-byte identical logs — the replayability artifact the chaos
 // suite asserts on.
 type Log struct {

@@ -76,11 +76,9 @@ type Event struct {
 	Duration time.Duration
 }
 
-// Scenario is a named, seeded fault script. The same (script, seed) pair
-// replays identically on a deterministic fabric.
+// Scenario is a fault script. On a deterministic fabric (a SimFabric with
+// a fixed seed) the same script replays identically.
 type Scenario struct {
-	Name   string
-	Seed   int64
 	Events []Event
 }
 

@@ -178,7 +178,7 @@ func TestControllerReconfiguresFastPair(t *testing.T) {
 	if res3.Err != nil {
 		t.Fatal(res3.Err)
 	}
-	if res3.Applied || !res3.Plan.Empty() {
+	if res3.Applied || len(res3.Plan.Steps) != 0 {
 		t.Fatalf("third cycle not stable: %s (plan %v)", res3.Summary(), res3.Plan)
 	}
 	if res3.Reason != "no change" {

@@ -182,7 +182,7 @@ func TestCycleRequiresTraffic(t *testing.T) {
 	if res.Err != nil || res.Applied || res.Reason != "no demands observed" {
 		t.Fatalf("cycle without traffic: %s", res.Summary())
 	}
-	if !res.Plan.Empty() || len(res.Result.Steps) != 0 {
+	if len(res.Plan.Steps) != 0 || len(res.Result.Steps) != 0 {
 		t.Fatalf("cycle without traffic planned %v", res.Plan.Steps)
 	}
 	for _, n := range s.Overlay().Nodes {

@@ -1,6 +1,6 @@
-// Package docscheck keeps the operator documentation honest. Its tests
-// instantiate every metrics constructor in the tree and fail when a
-// registered metric name is absent from docs/OPERATIONS.md — adding an
-// instrument without documenting it breaks the build, the same way an
-// undocumented flag would break a man-page lint.
+// Package docscheck has only tests. One fails when a registered metric is
+// missing from docs/OPERATIONS.md; TestNoDeadExports fails when an exported
+// name under internal/ has no non-test use and deadexports.txt does not
+// list it with a reason ("fixture: <pkg> tests", "paper figure" or "owned
+// by ROADMAP item N"), or lists a name that is used again or gone.
 package docscheck

@@ -156,12 +156,12 @@ func TestMeshTraceEndToEnd(t *testing.T) {
 			}
 			// ...and a traced wren report batch from the same node.
 			for i := 0; i < 4; i++ {
-				fw.Feed(pcap.Record{
+				fw.FeedAll([]pcap.Record{{
 					At:   time.Now().UnixNano(),
 					Dir:  pcap.Out,
 					Flow: pcap.FlowKey{Local: "h1", Remote: "h2"},
 					Size: 1500, Seq: int64(i * 1448), Len: 1448,
-				})
+				}})
 			}
 			if err := fw.Flush(); err != nil {
 				t.Errorf("flush: %v", err)

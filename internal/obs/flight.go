@@ -130,24 +130,11 @@ type Span struct {
 	start time.Time
 }
 
-// StartSpan begins a timed event; attach attributes with SetAttr and call
-// End to record it with its duration.
-func (r *FlightRecorder) StartSpan(trace, component, phase, name string) *Span {
-	if r == nil {
-		return nil
-	}
-	return &Span{
-		rec:   r,
-		ev:    Event{Trace: trace, Component: component, Phase: phase, Name: name},
-		start: time.Now(),
-	}
-}
-
 // StartSpanCtx begins a timed event inside a distributed trace: the span
 // records under ctx's trace ID with a parent link to ctx's span, and gets
 // a fresh span ID of its own so further work (possibly on other nodes)
-// can nest under it via Context. An invalid ctx degrades to a local span
-// exactly like StartSpan's.
+// can nest under it via Context. Attach attributes with SetAttr and call
+// End to record it with its duration.
 func (r *FlightRecorder) StartSpanCtx(ctx TraceContext, component, phase, name string) *Span {
 	if r == nil {
 		return nil

@@ -59,7 +59,7 @@ func TestNilFlightRecorderIsNoOp(t *testing.T) {
 	if r.Total() != 0 || r.Events(0) != nil {
 		t.Fatal("nil recorder must stay empty")
 	}
-	span := r.StartSpan("t", "c", "sense", "x")
+	span := r.StartSpanCtx(TraceContext{TraceID: "t"}, "c", "sense", "x")
 	if span != nil {
 		t.Fatal("nil recorder must mint nil spans")
 	}
@@ -79,7 +79,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 				if i%2 == 0 {
 					r.Record(Event{Name: "direct", Component: "test"})
 				} else {
-					s := r.StartSpan(NextTraceID(), "test", "sense", "span")
+					s := r.StartSpanCtx(NewTrace(), "test", "sense", "span")
 					s.SetAttr("writer", w)
 					s.End()
 				}
@@ -103,7 +103,7 @@ func TestFlightRecorderConcurrent(t *testing.T) {
 
 func TestSpanRecordsDuration(t *testing.T) {
 	r := NewFlightRecorder(4)
-	s := r.StartSpan("trace-1", "control", "decide", "decide")
+	s := r.StartSpanCtx(TraceContext{TraceID: "trace-1"}, "control", "decide", "decide")
 	s.SetAttr("steps", 3)
 	time.Sleep(time.Millisecond)
 	s.End()

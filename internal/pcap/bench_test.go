@@ -5,44 +5,6 @@ import (
 	"testing"
 )
 
-// BenchmarkBufferAppend measures steady-state appends into a full buffer —
-// the regime a busy capture point lives in. The ring implementation must
-// evict by advancing the head: zero allocations and zero record copying
-// per append.
-func BenchmarkBufferAppend(b *testing.B) {
-	buf := NewBuffer(1 << 12)
-	r := Record{Dir: Out, Flow: FlowKey{Local: "a", Remote: "b"}, Size: 1500, Len: 1460}
-	for i := 0; i < 1<<12; i++ {
-		r.At = int64(i)
-		buf.Append(r)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		r.At = int64(i)
-		buf.Append(r)
-	}
-}
-
-// BenchmarkBufferReadFrom measures an incremental reader draining a full
-// buffer (the forwarder's shape: cursor reads on a timer).
-func BenchmarkBufferReadFrom(b *testing.B) {
-	buf := NewBuffer(1 << 12)
-	r := Record{Dir: Out, Flow: FlowKey{Local: "a", Remote: "b"}, Size: 1500, Len: 1460}
-	for i := 0; i < 1<<13; i++ { // wrap the ring
-		r.At = int64(i)
-		buf.Append(r)
-	}
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		recs, _ := buf.ReadFrom(0)
-		if len(recs) == 0 {
-			b.Fatal("empty read")
-		}
-	}
-}
-
 // feedBatch is the forwarder's default batch: 128 records of one origin
 // spread over four remotes, the shape meshbench's measure_feed ships.
 func feedBatch() []Record {

@@ -5,6 +5,5 @@
 // lets Wren measure without perturbing the application. Records can come
 // from the discrete-event simulator's capture hooks (simulated time) or
 // from instrumented VNET overlay links (wall-clock time); Wren's analyzer
-// consumes both identically. Buffer is the bounded kernel-to-user-level
-// hand-off queue.
+// consumes both identically.
 package pcap

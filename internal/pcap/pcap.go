@@ -1,9 +1,5 @@
 package pcap
 
-import (
-	"sync"
-)
-
 // Dir is the capture direction relative to the traced host.
 type Dir uint8
 
@@ -38,134 +34,4 @@ type Record struct {
 	Len   int   // payload bytes (data packets)
 	IsAck bool
 	Ack   int64 // cumulative acknowledgment (ACK packets)
-}
-
-// Buffer is a bounded in-order capture buffer, the userspace side of the
-// trace facility. It is a fixed-capacity ring: storage grows lazily up to
-// the capacity and is then reused in place, so a full buffer appends with
-// zero allocations and zero copying — eviction just advances the head.
-// Appends are cheap and safe for concurrent use; when the buffer fills,
-// the oldest record is discarded and counted.
-type Buffer struct {
-	mu      sync.Mutex
-	buf     []Record // ring storage; grows geometrically up to cap
-	head    int      // index of the oldest record in buf
-	n       int      // records currently held
-	start   uint64   // sequence number of the oldest record
-	cap     int
-	dropped uint64
-	total   uint64
-}
-
-// NewBuffer creates a buffer holding up to capacity records (default 1<<16
-// when capacity <= 0).
-func NewBuffer(capacity int) *Buffer {
-	if capacity <= 0 {
-		capacity = 1 << 16
-	}
-	return &Buffer{cap: capacity}
-}
-
-// Append adds a record, evicting the oldest if full.
-func (b *Buffer) Append(r Record) {
-	b.mu.Lock()
-	if b.n == b.cap {
-		// Ring full: overwrite the oldest slot in place.
-		b.buf[b.head] = r
-		b.head++
-		if b.head == len(b.buf) {
-			b.head = 0
-		}
-		b.start++
-		b.dropped++
-		b.total++
-		b.mu.Unlock()
-		return
-	}
-	if b.n == len(b.buf) {
-		// Grow toward capacity. The ring has not wrapped yet (head is 0
-		// until the first eviction), so a plain append relocation is safe.
-		next := 2 * len(b.buf)
-		if next == 0 {
-			next = 64
-		}
-		if next > b.cap {
-			next = b.cap
-		}
-		nb := make([]Record, next)
-		copy(nb, b.buf[:b.n])
-		b.buf = nb
-	}
-	i := b.head + b.n
-	if i >= len(b.buf) {
-		i -= len(b.buf)
-	}
-	b.buf[i] = r
-	b.n++
-	b.total++
-	b.mu.Unlock()
-}
-
-// Len returns the number of buffered records.
-func (b *Buffer) Len() int {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.n
-}
-
-// Total returns how many records were ever appended.
-func (b *Buffer) Total() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.total
-}
-
-// Dropped returns how many records were evicted unread.
-func (b *Buffer) Dropped() uint64 {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	return b.dropped
-}
-
-// Cursor marks a position in the capture stream, for incremental reads.
-type Cursor uint64
-
-// ReadFrom returns a copy of all records at or after the cursor and the
-// cursor one past the last returned record. If the cursor has been evicted,
-// reading resumes at the oldest available record.
-func (b *Buffer) ReadFrom(c Cursor) ([]Record, Cursor) {
-	b.mu.Lock()
-	defer b.mu.Unlock()
-	pos := uint64(c)
-	if pos < b.start {
-		pos = b.start
-	}
-	end := b.start + uint64(b.n)
-	if pos >= end {
-		return nil, Cursor(end)
-	}
-	out := make([]Record, end-pos)
-	// First logical index to copy, then unwrap the ring in two segments.
-	first := b.head + int(pos-b.start)
-	if first >= len(b.buf) {
-		first -= len(b.buf)
-	}
-	k := copy(out, b.buf[first:min(first+len(out), len(b.buf))])
-	copy(out[k:], b.buf[:len(out)-k])
-	return out, Cursor(end)
-}
-
-// Snapshot returns a copy of everything currently buffered.
-func (b *Buffer) Snapshot() []Record {
-	recs, _ := b.ReadFrom(0)
-	return recs
-}
-
-// SplitFlows partitions records into per-flow slices preserving order.
-func SplitFlows(records []Record) map[FlowKey][]Record {
-	out := make(map[FlowKey][]Record)
-	for _, r := range records {
-		out[r.Flow] = append(out[r.Flow], r)
-	}
-	return out
 }

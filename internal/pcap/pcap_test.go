@@ -1,144 +1,8 @@
 package pcap
 
 import (
-	"sync"
 	"testing"
-	"testing/quick"
 )
-
-func rec(at int64) Record {
-	return Record{At: at, Dir: Out, Flow: FlowKey{Local: "a", Remote: "b"}, Size: 100}
-}
-
-func TestBufferAppendAndSnapshot(t *testing.T) {
-	b := NewBuffer(16)
-	for i := 0; i < 5; i++ {
-		b.Append(rec(int64(i)))
-	}
-	if b.Len() != 5 || b.Total() != 5 || b.Dropped() != 0 {
-		t.Fatalf("len=%d total=%d dropped=%d", b.Len(), b.Total(), b.Dropped())
-	}
-	snap := b.Snapshot()
-	if len(snap) != 5 {
-		t.Fatalf("snapshot = %d", len(snap))
-	}
-	for i, r := range snap {
-		if r.At != int64(i) {
-			t.Fatalf("snapshot[%d].At = %d", i, r.At)
-		}
-	}
-}
-
-func TestBufferEviction(t *testing.T) {
-	b := NewBuffer(8)
-	for i := 0; i < 20; i++ {
-		b.Append(rec(int64(i)))
-	}
-	if b.Len() > 8 {
-		t.Fatalf("len = %d exceeds cap", b.Len())
-	}
-	if b.Dropped() == 0 {
-		t.Fatal("no evictions counted")
-	}
-	// Remaining records are the newest, still in order.
-	snap := b.Snapshot()
-	for i := 1; i < len(snap); i++ {
-		if snap[i].At <= snap[i-1].At {
-			t.Fatal("order broken after eviction")
-		}
-	}
-	if snap[len(snap)-1].At != 19 {
-		t.Fatalf("newest = %d", snap[len(snap)-1].At)
-	}
-}
-
-func TestCursorIncrementalReads(t *testing.T) {
-	b := NewBuffer(0) // default cap
-	for i := 0; i < 3; i++ {
-		b.Append(rec(int64(i)))
-	}
-	recs, cur := b.ReadFrom(0)
-	if len(recs) != 3 {
-		t.Fatalf("first read = %d", len(recs))
-	}
-	// Nothing new yet.
-	recs, cur2 := b.ReadFrom(cur)
-	if len(recs) != 0 || cur2 != cur {
-		t.Fatalf("empty read returned %d, cursor %v->%v", len(recs), cur, cur2)
-	}
-	b.Append(rec(3))
-	recs, _ = b.ReadFrom(cur)
-	if len(recs) != 1 || recs[0].At != 3 {
-		t.Fatalf("incremental read = %v", recs)
-	}
-}
-
-func TestCursorSurvivesEviction(t *testing.T) {
-	b := NewBuffer(8)
-	_, cur := b.ReadFrom(0)
-	for i := 0; i < 50; i++ {
-		b.Append(rec(int64(i)))
-	}
-	recs, _ := b.ReadFrom(cur)
-	// The cursor points at evicted history: reading resumes at the oldest
-	// retained record rather than failing.
-	if len(recs) == 0 || len(recs) > 8 {
-		t.Fatalf("post-eviction read = %d", len(recs))
-	}
-}
-
-func TestSplitFlows(t *testing.T) {
-	ab := FlowKey{Local: "a", Remote: "b"}
-	ac := FlowKey{Local: "a", Remote: "c"}
-	records := []Record{
-		{At: 1, Flow: ab}, {At: 2, Flow: ac}, {At: 3, Flow: ab},
-	}
-	split := SplitFlows(records)
-	if len(split) != 2 || len(split[ab]) != 2 || len(split[ac]) != 1 {
-		t.Fatalf("split = %v", split)
-	}
-	if split[ab][0].At != 1 || split[ab][1].At != 3 {
-		t.Fatal("order not preserved within flow")
-	}
-}
-
-func TestConcurrentAppends(t *testing.T) {
-	b := NewBuffer(1024)
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 500; i++ {
-				b.Append(rec(int64(g*1000 + i)))
-			}
-		}(g)
-	}
-	wg.Wait()
-	if b.Total() != 4000 {
-		t.Fatalf("total = %d", b.Total())
-	}
-	if uint64(b.Len())+b.Dropped() != 4000 {
-		t.Fatalf("len %d + dropped %d != 4000", b.Len(), b.Dropped())
-	}
-}
-
-// TestBufferConservationProperty: for any append count and capacity,
-// retained + dropped == total, and Len <= capacity.
-func TestBufferConservationProperty(t *testing.T) {
-	f := func(capRaw uint8, nRaw uint16) bool {
-		capacity := int(capRaw%64) + 2
-		n := int(nRaw % 2000)
-		b := NewBuffer(capacity)
-		for i := 0; i < n; i++ {
-			b.Append(rec(int64(i)))
-		}
-		return uint64(b.Len())+b.Dropped() == uint64(n) && b.Len() <= capacity
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
 
 func TestDirString(t *testing.T) {
 	if Out.String() != "out" || In.String() != "in" {

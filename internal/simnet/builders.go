@@ -16,29 +16,6 @@ type DumbbellConfig struct {
 	BottleneckQueueBytes int      // droptail bound on the bottleneck (0 = default)
 }
 
-// LANDumbbell mimics the paper's Figure 2 testbed: a 100 Mbit/s switched
-// LAN path with sub-millisecond latency.
-func LANDumbbell() DumbbellConfig {
-	return DumbbellConfig{
-		AccessMbps:      1000,
-		AccessDelay:     Milliseconds(0.05),
-		BottleneckMbps:  100,
-		BottleneckDelay: Milliseconds(0.2),
-	}
-}
-
-// WANDumbbell mimics the paper's Figure 3 testbed: Nistnet adding tens of
-// milliseconds of latency in front of a 25 Mbit/s congested path.
-func WANDumbbell() DumbbellConfig {
-	return DumbbellConfig{
-		AccessMbps:           1000,
-		AccessDelay:          Milliseconds(0.05),
-		BottleneckMbps:       25,
-		BottleneckDelay:      Milliseconds(25), // 50 ms RTT across the bottleneck
-		BottleneckQueueBytes: 256 * 1000,       // deeper WAN router queue
-	}
-}
-
 // Dumbbell is the built topology. Host IDs: Left endpoints first, then
 // Right endpoints, then the two routers.
 type Dumbbell struct {
@@ -129,76 +106,6 @@ func NewParkingLot(sim *Sim, cfg ParkingLotConfig) *ParkingLot {
 		n.AddDuplexLink(dst, p.Routers[i+1], cfg.AccessMbps, cfg.AccessDelay, accessQ)
 	}
 	return p
-}
-
-// ProxyMeshConfig parameterizes NewProxyMesh. The proxy mesh is the
-// physical shape under the sharded overlay (vnet.NewMesh): N pods, each
-// with a proxy and its hosts on access links behind a pod router, and the
-// pod routers joined pairwise by core links that the inter-proxy mesh
-// traffic crosses.
-type ProxyMeshConfig struct {
-	AccessMbps     float64  // per-endpoint access link rate
-	AccessDelay    Duration // per-access-link propagation delay
-	CoreMbps       float64  // pod-to-pod core link rate
-	CoreDelay      Duration // core propagation delay
-	CoreQueueBytes int      // droptail bound on core links (0 = default)
-}
-
-// LANProxyMesh is the sharded-overlay analogue of LANDumbbell: gigabit
-// access with a 100 Mbit/s switched core.
-func LANProxyMesh() ProxyMeshConfig {
-	return ProxyMeshConfig{
-		AccessMbps:  1000,
-		AccessDelay: Milliseconds(0.05),
-		CoreMbps:    100,
-		CoreDelay:   Milliseconds(0.2),
-	}
-}
-
-// ProxyMesh is the built topology.
-type ProxyMesh struct {
-	Net     *Network
-	Proxies []HostID   // one proxy endpoint per pod
-	Hosts   [][]HostID // Hosts[p] = the host endpoints in pod p
-	Routers []HostID   // pod routers, one per pod
-	// Core[[2]int{i, j}] is the directed core link pod i -> pod j (both
-	// directions are present for every pod pair).
-	Core map[[2]int]*Link
-}
-
-// NewProxyMesh builds a proxy-mesh with `pods` pods of one proxy plus
-// hostsPerPod hosts each. Host IDs: pod 0's proxy, pod 0's hosts, pod 1's
-// proxy, ... then the pod routers.
-func NewProxyMesh(sim *Sim, pods, hostsPerPod int, cfg ProxyMeshConfig) *ProxyMesh {
-	if pods < 1 {
-		panic("simnet: proxy mesh needs at least one pod")
-	}
-	accessQ := 1 << 20 // deep NIC rings, as in NewDumbbell
-	perPod := 1 + hostsPerPod
-	n := NewNetwork(sim, pods*perPod+pods)
-	m := &ProxyMesh{Net: n, Core: make(map[[2]int]*Link)}
-	for p := 0; p < pods; p++ {
-		router := HostID(pods*perPod + p)
-		m.Routers = append(m.Routers, router)
-		proxy := HostID(p * perPod)
-		m.Proxies = append(m.Proxies, proxy)
-		n.AddDuplexLink(proxy, router, cfg.AccessMbps, cfg.AccessDelay, accessQ)
-		var hosts []HostID
-		for h := 0; h < hostsPerPod; h++ {
-			id := HostID(p*perPod + 1 + h)
-			hosts = append(hosts, id)
-			n.AddDuplexLink(id, router, cfg.AccessMbps, cfg.AccessDelay, accessQ)
-		}
-		m.Hosts = append(m.Hosts, hosts)
-	}
-	for i := 0; i < pods; i++ {
-		for j := i + 1; j < pods; j++ {
-			fwd, rev := n.AddDuplexLink(m.Routers[i], m.Routers[j], cfg.CoreMbps, cfg.CoreDelay, cfg.CoreQueueBytes)
-			m.Core[[2]int{i, j}] = fwd
-			m.Core[[2]int{j, i}] = rev
-		}
-	}
-	return m
 }
 
 // NewPair builds the simplest topology: two hosts joined by a duplex link.

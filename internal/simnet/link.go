@@ -1,7 +1,5 @@
 package simnet
 
-import "math/rand"
-
 // LinkStats aggregates a link's lifetime counters. BytesSent counts bytes
 // whose transmission completed; Busy accumulates transmission time, so
 // Busy/elapsed is the link's utilization — the simulator's stand-in for
@@ -9,7 +7,7 @@ import "math/rand"
 type LinkStats struct {
 	Enqueued  uint64
 	Dropped   uint64 // droptail queue overflows
-	Lost      uint64 // random losses (Nistnet-style emulation)
+	Lost      uint64 // dropped by the interceptor
 	Delivered uint64
 	BytesSent uint64
 	Busy      Duration
@@ -31,10 +29,6 @@ type Link struct {
 	queuedBytes int
 	busy        bool
 
-	// Random-loss emulation (Nistnet also emulated loss, not just delay).
-	lossRate float64
-	lossRng  *rand.Rand
-
 	intercept Interceptor
 
 	stats LinkStats
@@ -44,7 +38,7 @@ type Link struct {
 // passes the packet through untouched.
 type Verdict struct {
 	// Drop discards the packet before it reaches the queue (counted as
-	// Lost, like the built-in loss emulation).
+	// Lost).
 	Drop bool
 	// Duplicate enqueues a second copy alongside the original.
 	Duplicate bool
@@ -61,15 +55,8 @@ type Verdict struct {
 type Interceptor func(pkt *Packet) Verdict
 
 // SetInterceptor installs (or, with nil, removes) the link's packet
-// interceptor. It composes with the built-in loss emulation: the
-// interceptor runs first.
+// interceptor.
 func (l *Link) SetInterceptor(fn Interceptor) { l.intercept = fn }
-
-// From returns the sending host ID.
-func (l *Link) From() HostID { return l.from }
-
-// To returns the receiving host ID.
-func (l *Link) To() HostID { return l.to }
 
 // RateMbps returns the configured transmission rate.
 func (l *Link) RateMbps() float64 { return l.rateMbps }
@@ -86,21 +73,6 @@ func (l *Link) SetRate(mbps float64) {
 	l.rateMbps = mbps
 }
 
-// SetLossRate makes the link drop each packet independently with the given
-// probability (Nistnet-style loss emulation). rate 0 disables. The stream
-// is seeded for reproducibility.
-func (l *Link) SetLossRate(rate float64, seed int64) {
-	if rate < 0 || rate >= 1 {
-		panic("simnet: loss rate must be in [0,1)")
-	}
-	l.lossRate = rate
-	if rate > 0 {
-		l.lossRng = rand.New(rand.NewSource(seed))
-	} else {
-		l.lossRng = nil
-	}
-}
-
 // txTime returns how long size bytes occupy the wire.
 func (l *Link) txTime(size int) Duration {
 	bits := float64(size) * 8
@@ -109,8 +81,7 @@ func (l *Link) txTime(size int) Duration {
 }
 
 // enqueue accepts a packet for transmission, dropping it if the
-// interceptor or the loss emulation fires, or the queue is full
-// (droptail).
+// interceptor says so or the queue is full (droptail).
 func (l *Link) enqueue(pkt *Packet) {
 	if l.intercept != nil {
 		v := l.intercept(pkt)
@@ -134,13 +105,9 @@ func (l *Link) enqueue(pkt *Packet) {
 	l.offer(pkt)
 }
 
-// offer is the post-interceptor enqueue path: loss emulation, then the
-// droptail queue or the wire.
+// offer is the post-interceptor enqueue path: the droptail queue or the
+// wire.
 func (l *Link) offer(pkt *Packet) {
-	if l.lossRate > 0 && l.lossRng.Float64() < l.lossRate {
-		l.stats.Lost++
-		return
-	}
 	if l.busy && l.queuedBytes+pkt.Size > l.queueCap {
 		l.stats.Dropped++
 		return

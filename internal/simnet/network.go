@@ -8,19 +8,11 @@ type Handler func(pkt *Packet, at Time)
 // Host is an endpoint or router. Endpoints register flow handlers; packets
 // addressed to a host without a matching handler are counted and discarded.
 type Host struct {
-	id       HostID
-	name     string
 	handlers map[FlowID]Handler
 	captures []CaptureFunc
 	// Unrouted counts packets that arrived with no registered handler.
 	Unrouted uint64
 }
-
-// ID returns the host's identifier.
-func (h *Host) ID() HostID { return h.id }
-
-// Name returns the host's name.
-func (h *Host) Name() string { return h.name }
 
 // Register installs the handler for a flow, replacing any previous one.
 func (h *Host) Register(flow FlowID, fn Handler) { h.handlers[flow] = fn }
@@ -69,17 +61,10 @@ func NewNetwork(sim *Sim, n int) *Network {
 		dirty: true,
 	}
 	for i := 0; i < n; i++ {
-		net.hosts = append(net.hosts, &Host{
-			id:       HostID(i),
-			name:     fmt.Sprintf("host%d", i),
-			handlers: make(map[FlowID]Handler),
-		})
+		net.hosts = append(net.hosts, &Host{handlers: make(map[FlowID]Handler)})
 	}
 	return net
 }
-
-// Sim returns the event engine the network runs on.
-func (n *Network) Sim() *Sim { return n.sim }
 
 // Schedule delegates to the underlying engine.
 func (n *Network) Schedule(at Time, fn func()) { n.sim.Schedule(at, fn) }
@@ -89,9 +74,6 @@ func (n *Network) After(d Duration, fn func()) { n.sim.After(d, fn) }
 
 // Now delegates to the underlying engine.
 func (n *Network) Now() Time { return n.sim.Now() }
-
-// NumHosts returns the number of hosts.
-func (n *Network) NumHosts() int { return len(n.hosts) }
 
 // Host returns the host with the given ID.
 func (n *Network) Host(id HostID) *Host {

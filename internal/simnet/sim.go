@@ -65,13 +65,6 @@ func (s *Sim) RunUntil(t Time) {
 	}
 }
 
-// Run fires events until none remain. Use RunUntil for open-ended
-// workloads (periodic sources reschedule themselves forever).
-func (s *Sim) Run() {
-	for s.Step() {
-	}
-}
-
 type event struct {
 	at  Time
 	seq uint64

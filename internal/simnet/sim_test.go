@@ -8,7 +8,8 @@ func TestScheduleOrdering(t *testing.T) {
 	s.Schedule(30, func() { got = append(got, 3) })
 	s.Schedule(10, func() { got = append(got, 1) })
 	s.Schedule(20, func() { got = append(got, 2) })
-	s.Run()
+	for s.Step() {
+	}
 	if len(got) != 3 || got[0] != 1 || got[1] != 2 || got[2] != 3 {
 		t.Fatalf("order = %v", got)
 	}
@@ -27,7 +28,8 @@ func TestSameTimestampFIFO(t *testing.T) {
 		i := i
 		s.Schedule(5, func() { got = append(got, i) })
 	}
-	s.Run()
+	for s.Step() {
+	}
 	for i, v := range got {
 		if v != i {
 			t.Fatalf("same-timestamp events reordered: %v", got)
@@ -41,7 +43,8 @@ func TestAfterRelative(t *testing.T) {
 	s.Schedule(100, func() {
 		s.After(50, func() { at = s.Now() })
 	})
-	s.Run()
+	for s.Step() {
+	}
 	if at != 150 {
 		t.Fatalf("nested After fired at %v, want 150", at)
 	}
@@ -119,7 +122,8 @@ func TestSelfReschedulingEvent(t *testing.T) {
 		}
 	}
 	s.Schedule(0, tick)
-	s.Run()
+	for s.Step() {
+	}
 	if count != 5 || s.Now() != 40 {
 		t.Fatalf("count=%d Now=%v", count, s.Now())
 	}

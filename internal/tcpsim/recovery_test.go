@@ -32,12 +32,12 @@ func TestGoBackNRecoversMultiSegmentLoss(t *testing.T) {
 	}
 	if c.BytesAcked() != total {
 		t.Fatalf("acked %d of %d (stats %+v, state %s)",
-			c.BytesAcked(), total, c.Stats(), c.DebugState())
+			c.BytesAcked(), total, c.stats, c.DebugState())
 	}
 	// 512 KB at 10 Mbit/s is ~0.42 s; allow generous recovery slack but
 	// rule out the one-segment-per-RTO crawl (which would need ~70 s).
 	if elapsed := s.Now().Sec(); elapsed > 5 {
-		t.Fatalf("transfer took %.1f s — recovery is crawling (stats %+v)", elapsed, c.Stats())
+		t.Fatalf("transfer took %.1f s — recovery is crawling (stats %+v)", elapsed, c.stats)
 	}
 }
 
@@ -64,7 +64,7 @@ func TestResegmentedRetransmissionsReassemble(t *testing.T) {
 	s.RunUntil(simnet.Time(simnet.Seconds(120)))
 	if c.BytesAcked() != int64(total) {
 		t.Fatalf("acked %d of %d (stats %+v, state %s)",
-			c.BytesAcked(), total, c.Stats(), c.DebugState())
+			c.BytesAcked(), total, c.stats, c.DebugState())
 	}
 	if c.rcvNxt != int64(total) {
 		t.Fatalf("receiver rcvNxt %d != %d", c.rcvNxt, total)
@@ -85,10 +85,10 @@ func TestRetransmitsNotRTTSampled(t *testing.T) {
 	c := NewConnection(n, 1, 0, 1, Config{})
 	c.Write(1 << 20)
 	s.RunUntil(simnet.Time(simnet.Seconds(10)))
-	if c.Stats().Retransmits == 0 {
+	if c.stats.Retransmits == 0 {
 		t.Fatal("scenario produced no retransmits")
 	}
-	srttMs := c.SRTT().Sec() * 1000
+	srttMs := c.srtt.Sec() * 1000
 	if srttMs > 60 { // true RTT ~10-30 ms with queueing; RTO pollution would be >200
 		t.Fatalf("SRTT = %.1f ms, poisoned by retransmission samples", srttMs)
 	}

@@ -98,9 +98,6 @@ func NewCBR(net *simnet.Network, flow simnet.FlowID, src, dst simnet.HostID, pkt
 	return c
 }
 
-// RateMbps returns the current sending rate.
-func (c *CBR) RateMbps() float64 { return c.rateMbps }
-
 // SetRateAt schedules a rate change (0 stops the source) at time at.
 func (c *CBR) SetRateAt(at simnet.Time, rateMbps float64) {
 	c.net.Schedule(at, func() { c.setRate(rateMbps) })
@@ -136,7 +133,6 @@ type OnOffTCP struct {
 	meanOff simnet.Duration
 	chunk   int
 	on      bool
-	stopped bool
 }
 
 // StartOnOffTCP begins the on/off cycle at time at. The source starts in
@@ -151,19 +147,13 @@ func StartOnOffTCP(conn *Conn, meanOn, meanOff simnet.Duration, at simnet.Time, 
 	}
 	conn.OnAck = func(now simnet.Time) {
 		// Keep the source greedy during ON: top up when the buffer drains.
-		if o.on && !o.stopped && conn.Buffered() < int64(o.chunk)/2 {
+		if o.on && conn.Buffered() < int64(o.chunk)/2 {
 			conn.Write(o.chunk)
 		}
 	}
 	conn.net.Schedule(at, func() { o.enterOff() })
 	return o
 }
-
-// Stop halts the cycle after the current period.
-func (o *OnOffTCP) Stop() { o.stopped = true }
-
-// On reports whether the source is currently in an ON period.
-func (o *OnOffTCP) On() bool { return o.on }
 
 func (o *OnOffTCP) expDur(mean simnet.Duration) simnet.Duration {
 	d := simnet.Duration(o.rng.ExpFloat64() * float64(mean))
@@ -174,18 +164,12 @@ func (o *OnOffTCP) expDur(mean simnet.Duration) simnet.Duration {
 }
 
 func (o *OnOffTCP) enterOn() {
-	if o.stopped {
-		return
-	}
 	o.on = true
 	o.conn.Write(o.chunk)
 	o.conn.net.After(o.expDur(o.meanOn), func() { o.enterOff() })
 }
 
 func (o *OnOffTCP) enterOff() {
-	if o.stopped {
-		return
-	}
 	o.on = false
 	o.conn.net.After(o.expDur(o.meanOff), func() { o.enterOn() })
 }

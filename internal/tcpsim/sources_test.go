@@ -29,8 +29,8 @@ func TestCBRRateSteps(t *testing.T) {
 	c.SetRateAt(simnet.Time(simnet.Seconds(1)), 0) // stop
 	c.SetRateAt(simnet.Time(simnet.Seconds(2)), 20)
 	s.RunUntil(simnet.Time(simnet.Seconds(3)))
-	if c.RateMbps() != 20 {
-		t.Fatalf("RateMbps = %v", c.RateMbps())
+	if c.rateMbps != 20 {
+		t.Fatalf("RateMbps = %v", c.rateMbps)
 	}
 	// 10 Mbit/s for 1 s + 20 Mbit/s for 1 s = 30 Mbit total = 2500 packets.
 	want := 30e6 / 8 / 1500
@@ -99,7 +99,7 @@ func TestOnOffTCPGeneratesBurstyTraffic(t *testing.T) {
 	s := simnet.NewSim()
 	n, a, b := simnet.NewPair(s, 50, simnet.Milliseconds(10), 128*1000)
 	c := NewConnection(n, 9, a, b, Config{})
-	o := StartOnOffTCP(c, simnet.Seconds(0.5), simnet.Seconds(0.5), 0, 3)
+	StartOnOffTCP(c, simnet.Seconds(0.5), simnet.Seconds(0.5), 0, 3)
 	s.RunUntil(simnet.Time(simnet.Seconds(10)))
 	if c.BytesAcked() == 0 {
 		t.Fatal("on/off source sent nothing")
@@ -110,14 +110,6 @@ func TestOnOffTCPGeneratesBurstyTraffic(t *testing.T) {
 	if mbps <= 1 || mbps >= 50 {
 		t.Fatalf("on/off average rate = %.1f Mbit/s, want bursty mid-range", mbps)
 	}
-	o.Stop()
-	acked := c.BytesAcked()
-	s.RunUntil(simnet.Time(simnet.Seconds(12)))
-	// After Stop and drain, no substantial new traffic: at most the
-	// residual buffered chunk.
-	if c.BytesAcked()-acked > int64(o.chunk)*2 {
-		t.Fatalf("source kept writing after Stop: %d new bytes", c.BytesAcked()-acked)
-	}
 }
 
 func TestOnOffTCPStartsOff(t *testing.T) {
@@ -126,7 +118,7 @@ func TestOnOffTCPStartsOff(t *testing.T) {
 	c := NewConnection(n, 9, a, b, Config{})
 	o := StartOnOffTCP(c, simnet.Seconds(1), simnet.Seconds(1), 0, 3)
 	s.RunUntil(simnet.Time(simnet.Milliseconds(0.5)))
-	if o.On() {
+	if o.on {
 		t.Fatal("source should begin OFF")
 	}
 }

@@ -140,18 +140,9 @@ func NewConnection(net *simnet.Network, flow simnet.FlowID, src, dst simnet.Host
 	return c
 }
 
-// Flow returns the connection's flow ID.
-func (c *Conn) Flow() simnet.FlowID { return c.flow }
-
-// Stats returns a copy of the connection's counters.
-func (c *Conn) Stats() Stats { return c.stats }
-
 // BytesAcked returns the cumulatively acknowledged byte count; sampling it
 // over time yields the application throughput.
 func (c *Conn) BytesAcked() int64 { return c.stats.BytesAcked }
-
-// Cwnd returns the current congestion window in segments (for tests).
-func (c *Conn) Cwnd() float64 { return c.cwnd }
 
 // Outstanding returns the bytes in flight.
 func (c *Conn) Outstanding() int64 { return c.sndNxt - c.sndUna }
@@ -424,9 +415,6 @@ func (c *Conn) updateRTT(sample simnet.Duration) {
 		c.rto = c.cfg.MinRTO
 	}
 }
-
-// SRTT returns the smoothed RTT estimate (0 before the first sample).
-func (c *Conn) SRTT() simnet.Duration { return c.srtt }
 
 func (c *Conn) String() string {
 	return fmt.Sprintf("tcp[flow=%d %d->%d cwnd=%.1f una=%d nxt=%d]",

@@ -54,12 +54,12 @@ func TestSlowStartDoubling(t *testing.T) {
 	// After one RTT (~20ms) the initial window's ACKs should have grown
 	// cwnd from 2 toward 4; after two RTTs toward 8.
 	s.RunUntil(simnet.Time(simnet.Milliseconds(25)))
-	if c.Cwnd() < 3.5 {
-		t.Fatalf("cwnd after 1 RTT = %v, want >= ~4", c.Cwnd())
+	if c.cwnd < 3.5 {
+		t.Fatalf("cwnd after 1 RTT = %v, want >= ~4", c.cwnd)
 	}
 	s.RunUntil(simnet.Time(simnet.Milliseconds(45)))
-	if c.Cwnd() < 7 {
-		t.Fatalf("cwnd after 2 RTT = %v, want >= ~8", c.Cwnd())
+	if c.cwnd < 7 {
+		t.Fatalf("cwnd after 2 RTT = %v, want >= ~8", c.cwnd)
 	}
 }
 
@@ -68,11 +68,11 @@ func TestRTTEstimate(t *testing.T) {
 	c := NewConnection(n, 1, a, b, Config{})
 	c.Write(100 << 10)
 	s.RunUntil(simnet.Time(simnet.Seconds(2)))
-	rtt := c.SRTT().Sec() * 1000
+	rtt := c.srtt.Sec() * 1000
 	if rtt < 39 || rtt > 60 {
 		t.Fatalf("SRTT = %.2f ms, want ~40 ms", rtt)
 	}
-	if c.Stats().RTTSamples == 0 {
+	if c.stats.RTTSamples == 0 {
 		t.Fatal("no RTT samples")
 	}
 }
@@ -86,9 +86,9 @@ func TestLossRecoveryFastRetransmit(t *testing.T) {
 	c.Write(total)
 	s.RunUntil(simnet.Time(simnet.Seconds(30)))
 	if c.BytesAcked() != total {
-		t.Fatalf("BytesAcked = %d, want %d (stats %+v)", c.BytesAcked(), total, c.Stats())
+		t.Fatalf("BytesAcked = %d, want %d (stats %+v)", c.BytesAcked(), total, c.stats)
 	}
-	st := c.Stats()
+	st := c.stats
 	if st.Retransmits == 0 {
 		t.Fatalf("expected retransmissions on shallow queue, stats %+v", st)
 	}
@@ -109,8 +109,8 @@ func TestTimeoutOnDeadACKPath(t *testing.T) {
 	c := NewConnection(n, 1, 0, 1, Config{})
 	c.Write(64 << 10)
 	s.RunUntil(simnet.Time(simnet.Seconds(20)))
-	if c.Stats().Timeouts == 0 {
-		t.Fatalf("expected RTO timeouts under ACK starvation, stats %+v", c.Stats())
+	if c.stats.Timeouts == 0 {
+		t.Fatalf("expected RTO timeouts under ACK starvation, stats %+v", c.stats)
 	}
 }
 
@@ -119,7 +119,7 @@ func TestIdleResetDecaysWindow(t *testing.T) {
 	c := NewConnection(n, 1, a, b, Config{})
 	c.Write(1 << 20)
 	s.RunUntil(simnet.Time(simnet.Seconds(2)))
-	grown := c.Cwnd()
+	grown := c.cwnd
 	if grown < 8 {
 		t.Fatalf("cwnd did not grow: %v", grown)
 	}
@@ -127,8 +127,8 @@ func TestIdleResetDecaysWindow(t *testing.T) {
 	// ssthresh must remember the old operating point.
 	s.RunUntil(simnet.Time(simnet.Seconds(10)))
 	c.Write(1000)
-	if c.Cwnd() >= grown {
-		t.Fatalf("cwnd after idle = %v, want < %v", c.Cwnd(), grown)
+	if c.cwnd >= grown {
+		t.Fatalf("cwnd after idle = %v, want < %v", c.cwnd, grown)
 	}
 	if c.ssthresh < grown {
 		t.Fatalf("ssthresh = %v, want >= %v (remember old rate)", c.ssthresh, grown)
@@ -140,11 +140,11 @@ func TestNoIdleReset(t *testing.T) {
 	c := NewConnection(n, 1, a, b, Config{NoIdleReset: true})
 	c.Write(1 << 20)
 	s.RunUntil(simnet.Time(simnet.Seconds(2)))
-	grown := c.Cwnd()
+	grown := c.cwnd
 	s.RunUntil(simnet.Time(simnet.Seconds(10)))
 	c.Write(1000)
-	if c.Cwnd() != grown {
-		t.Fatalf("cwnd changed across idle with NoIdleReset: %v -> %v", grown, c.Cwnd())
+	if c.cwnd != grown {
+		t.Fatalf("cwnd changed across idle with NoIdleReset: %v -> %v", grown, c.cwnd)
 	}
 }
 

@@ -34,22 +34,6 @@ func (p Path) Simple() bool {
 	return true
 }
 
-// Bottleneck returns the minimum capacity along the path according to cap.
-// A single-node path has infinite bottleneck. Missing edges yield -Inf.
-func (p Path) Bottleneck(g *Graph, capFn func(Edge) float64) float64 {
-	width := math.Inf(1)
-	for i := 0; i+1 < len(p); i++ {
-		e, ok := g.Edge(p[i], p[i+1])
-		if !ok {
-			return math.Inf(-1)
-		}
-		if c := capFn(e); c < width {
-			width = c
-		}
-	}
-	return width
-}
-
 // Latency returns the summed edge latency along the path. Missing edges
 // yield +Inf.
 func (p Path) Latency(g *Graph) float64 {
@@ -70,7 +54,7 @@ func (p Path) Clone() Path { return append(Path(nil), p...) }
 // EdgeBW returns e.BW; it is the default capacity function.
 func EdgeBW(e Edge) float64 { return e.BW }
 
-// item is a priority-queue entry for the Dijkstra variants.
+// item is a priority-queue entry for WidestPaths.
 type item struct {
 	node NodeID
 	key  float64
@@ -91,10 +75,6 @@ func (h *maxHeap) Pop() interface{} {
 	*h = old[:n-1]
 	return it
 }
-
-type minHeap struct{ maxHeap }
-
-func (h minHeap) Less(i, j int) bool { return h.maxHeap[i].key < h.maxHeap[j].key }
 
 // WidestPaths solves the single-source widest-paths problem: for every node
 // it computes the maximum over all paths from src of the minimum capacity
@@ -147,49 +127,8 @@ func WidestPaths(g *Graph, src NodeID, capFn func(Edge) float64) (width []float6
 	return width, prev
 }
 
-// ShortestPaths solves single-source shortest paths with edge latency as the
-// (non-negative) length. It returns dist[v] (+Inf if unreachable) and
-// prev[v] as in WidestPaths.
-func ShortestPaths(g *Graph, src NodeID) (dist []float64, prev []NodeID) {
-	n := g.NumNodes()
-	dist = make([]float64, n)
-	prev = make([]NodeID, n)
-	items := make([]*item, n)
-	h := &minHeap{}
-	for v := 0; v < n; v++ {
-		dist[v] = math.Inf(1)
-		prev[v] = -1
-		items[v] = &item{node: NodeID(v), key: math.Inf(1)}
-	}
-	dist[src] = 0
-	items[src].key = 0
-	for _, it := range items {
-		heap.Push(h, it)
-	}
-	for h.Len() > 0 {
-		u := heap.Pop(h).(*item)
-		if math.IsInf(u.key, 1) {
-			break
-		}
-		for _, e := range g.OutEdges(u.node) {
-			if e.Latency < 0 {
-				panic("topology: negative latency")
-			}
-			d := dist[u.node] + e.Latency
-			if d < dist[e.To] {
-				dist[e.To] = d
-				prev[e.To] = u.node
-				it := items[e.To]
-				it.key = d
-				heap.Fix(h, it.idx)
-			}
-		}
-	}
-	return dist, prev
-}
-
 // ExtractPath reconstructs the src->dst path from a predecessor array
-// produced by WidestPaths or ShortestPaths. It returns nil if dst is
+// produced by WidestPaths. It returns nil if dst is
 // unreachable.
 func ExtractPath(prev []NodeID, src, dst NodeID) Path {
 	if src == dst {

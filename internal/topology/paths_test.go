@@ -82,25 +82,6 @@ func TestWidestPathsCustomCapacity(t *testing.T) {
 	}
 }
 
-func TestShortestPaths(t *testing.T) {
-	g := New(4)
-	g.AddEdge(0, 1, 1, 10)
-	g.AddEdge(1, 3, 1, 10)
-	g.AddEdge(0, 2, 1, 1)
-	g.AddEdge(2, 3, 1, 2)
-	dist, prev := ShortestPaths(g, 0)
-	if dist[3] != 3 {
-		t.Fatalf("dist[3] = %v, want 3", dist[3])
-	}
-	p := ExtractPath(prev, 0, 3)
-	if len(p) != 3 || p[1] != 2 {
-		t.Fatalf("path = %v, want [0 2 3]", p)
-	}
-	if dist[0] != 0 {
-		t.Fatalf("dist[src] = %v", dist[0])
-	}
-}
-
 func TestExtractPathTrivial(t *testing.T) {
 	p := ExtractPath([]NodeID{-1, -1}, 1, 1)
 	if len(p) != 1 || p[0] != 1 {
@@ -117,9 +98,6 @@ func TestPathHelpers(t *testing.T) {
 	if !p.Simple() {
 		t.Fatal("simple path reported non-simple")
 	}
-	if got := p.Bottleneck(g, EdgeBW); got != 80 {
-		t.Fatalf("Bottleneck = %v, want 80", got)
-	}
 	if got := p.Latency(g); got != 2 {
 		t.Fatalf("Latency = %v, want 2", got)
 	}
@@ -130,9 +108,6 @@ func TestPathHelpers(t *testing.T) {
 	loopy := Path{0, 2, 0}
 	if loopy.Simple() {
 		t.Fatal("loopy path reported simple")
-	}
-	if got := (Path{0}).Bottleneck(g, EdgeBW); !math.IsInf(got, 1) {
-		t.Fatalf("single-node bottleneck = %v, want +Inf", got)
 	}
 	if (Path{}).Valid(g) {
 		t.Fatal("empty path reported valid")
@@ -202,41 +177,12 @@ func TestWidestPathsMatchesBruteForce(t *testing.T) {
 				if !p.Valid(g) || !p.Simple() {
 					return false
 				}
-				if math.Abs(p.Bottleneck(g, EdgeBW)-width[dst]) > 1e-9 {
-					return false
+				bottleneck := math.Inf(1)
+				for i := 0; i+1 < len(p); i++ {
+					e, _ := g.Edge(p[i], p[i+1])
+					bottleneck = math.Min(bottleneck, e.BW)
 				}
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 60}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestShortestPathsTriangleInequality: dist[v] <= dist[u] + lat(u,v) for
-// every edge, and extracted path latencies equal reported distances.
-func TestShortestPathsTriangleInequality(t *testing.T) {
-	f := func(seed int64) bool {
-		rng := rand.New(rand.NewSource(seed))
-		n := 3 + rng.Intn(6)
-		g := New(n)
-		for i := 0; i < n; i++ {
-			for j := 0; j < n; j++ {
-				if i != j && rng.Float64() < 0.4 {
-					g.AddEdge(NodeID(i), NodeID(j), 1, rng.Float64()*10)
-				}
-			}
-		}
-		dist, prev := ShortestPaths(g, 0)
-		for _, e := range g.Edges() {
-			if dist[e.To] > dist[e.From]+e.Latency+1e-9 {
-				return false
-			}
-		}
-		for v := 1; v < n; v++ {
-			if p := ExtractPath(prev, 0, NodeID(v)); p != nil {
-				if math.Abs(p.Latency(g)-dist[v]) > 1e-9 {
+				if math.Abs(bottleneck-width[dst]) > 1e-9 {
 					return false
 				}
 			}
@@ -258,15 +204,4 @@ func TestWidestPathConvenience(t *testing.T) {
 	if p != nil || !math.IsInf(w, -1) {
 		t.Fatalf("reverse WidestPath = %v width %v, want unreachable", p, w)
 	}
-}
-
-func TestNegativeLatencyPanics(t *testing.T) {
-	g := New(2)
-	g.AddEdge(0, 1, 1, -1)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("expected panic on negative latency")
-		}
-	}()
-	ShortestPaths(g, 0)
 }

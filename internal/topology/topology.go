@@ -123,19 +123,6 @@ func (g *Graph) Edges() []Edge {
 	return out
 }
 
-// Clone returns a deep copy of the graph.
-func (g *Graph) Clone() *Graph {
-	c := New(g.n)
-	copy(c.names, g.names)
-	for from := range g.adj {
-		c.adj[from] = append([]Edge(nil), g.adj[from]...)
-	}
-	for k, v := range g.index {
-		c.index[k] = v
-	}
-	return c
-}
-
 // Connected reports whether every node is reachable from node 0 treating
 // edges as undirected.
 func (g *Graph) Connected() bool {

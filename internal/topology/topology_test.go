@@ -109,24 +109,6 @@ func TestEdgesDeterministicOrder(t *testing.T) {
 	}
 }
 
-func TestClone(t *testing.T) {
-	g := New(3)
-	g.AddEdge(0, 1, 100, 5)
-	g.SetName(0, "a")
-	c := g.Clone()
-	c.AddEdge(1, 2, 7, 7)
-	c.SetName(0, "b")
-	if g.NumEdges() != 1 {
-		t.Fatalf("clone mutated original: NumEdges = %d", g.NumEdges())
-	}
-	if g.Name(0) != "a" {
-		t.Fatalf("clone mutated original name: %q", g.Name(0))
-	}
-	if c.NumEdges() != 2 || c.Name(0) != "b" {
-		t.Fatal("clone did not take edits")
-	}
-}
-
 func TestConnected(t *testing.T) {
 	g := New(4)
 	g.AddBiEdge(0, 1, 1, 1)

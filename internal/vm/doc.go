@@ -3,6 +3,6 @@
 // VM owns a MAC address, attaches to a VNET daemon through a virtual NIC
 // (the daemon sees only Ethernet frames, exactly as it would from a real
 // VMM), and runs a traffic-pattern program — the unmodified applications
-// of the paper (BSP neighbor exchange, NAS MultiGrid, all-to-all, ring)
+// of the paper (BSP neighbor exchange, NAS MultiGrid)
 // whose traffic both VTTIF and Wren observe for free.
 package vm

@@ -6,9 +6,8 @@ import (
 )
 
 // This file provides the application traffic patterns the paper runs
-// inside VMs: the BSP-style neighbor pattern of Figure 4, the NAS
-// MultiGrid matrix of Figure 7, all-to-all and ring patterns used by the
-// adaptation experiments.
+// inside VMs: the BSP-style neighbor pattern of Figure 4 and the NAS
+// MultiGrid matrix of Figure 7.
 
 // Pattern drives a set of VMs with a periodic communication step until
 // stopped.
@@ -53,31 +52,6 @@ func StartBSPNeighbors(vms []*VM, msgSize int, interval time.Duration) *Pattern 
 	})
 }
 
-// StartRing runs a unidirectional ring: VM i sends to VM i+1 only — the
-// 8-VM workload of the Figure 11 scalability study.
-func StartRing(vms []*VM, msgSize int, interval time.Duration) *Pattern {
-	n := len(vms)
-	return startPattern(interval, func() {
-		for i, v := range vms {
-			v.Send(vms[(i+1)%n], msgSize)
-		}
-	})
-}
-
-// StartAllToAll sends msgSize from every VM to every other VM each step —
-// the NAS-style all-to-all of the Figure 8 and Figure 10 experiments.
-func StartAllToAll(vms []*VM, msgSize int, interval time.Duration) *Pattern {
-	return startPattern(interval, func() {
-		for _, v := range vms {
-			for _, u := range vms {
-				if u != v {
-					v.Send(u, msgSize)
-				}
-			}
-		}
-	})
-}
-
 // NASMultiGridIntensity is the relative traffic intensity matrix VTTIF
 // inferred from the 4-VM NAS MultiGrid benchmark (paper Figure 7): an
 // all-to-all pattern with strongly asymmetric loads — neighbor pairs
@@ -100,26 +74,6 @@ func StartNASMultiGrid(vms []*VM, unitBytes int, interval time.Duration) *Patter
 		for i, v := range vms {
 			for j, u := range vms {
 				size := int(NASMultiGridIntensity[i][j] * float64(unitBytes))
-				if size > 0 {
-					v.Send(u, size)
-				}
-			}
-		}
-	})
-}
-
-// StartMatrix runs an arbitrary intensity matrix over the VMs.
-func StartMatrix(vms []*VM, intensity [][]float64, unitBytes int, interval time.Duration) *Pattern {
-	if len(intensity) != len(vms) {
-		panic("vm: intensity matrix must match VM count")
-	}
-	return startPattern(interval, func() {
-		for i, v := range vms {
-			for j, u := range vms {
-				if i == j {
-					continue
-				}
-				size := int(intensity[i][j] * float64(unitBytes))
 				if size > 0 {
 					v.Send(u, size)
 				}

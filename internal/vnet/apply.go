@@ -1,6 +1,7 @@
 package vnet
 
 import (
+	"errors"
 	"fmt"
 
 	"freemeasure/internal/ethernet"
@@ -95,9 +96,6 @@ type Plan struct {
 	Trace obs.TraceContext
 }
 
-// Empty reports whether the plan changes nothing.
-func (p Plan) Empty() bool { return len(p.Steps) == 0 }
-
 // Migrator executes VM attachment moves on behalf of Overlay.Apply. The
 // overlay cannot move VMs itself — it only sees MAC-addressed ports — so
 // whoever owns the VM objects (internal/core, internal/control, a test)
@@ -128,6 +126,8 @@ const (
 	// StepRolledBack: the step had been applied, then was undone after a
 	// later step failed.
 	StepRolledBack StepOutcome = "rolled-back"
+	// StepRollbackFailed: the step's undo errored; its change may stand.
+	StepRollbackFailed StepOutcome = "rollback-failed"
 	// StepNotReached: a later step never ran because an earlier one failed.
 	StepNotReached StepOutcome = "not-reached"
 )
@@ -154,9 +154,10 @@ type ApplyResult struct {
 // Apply executes the plan transactionally. Already-satisfied steps are
 // skipped (idempotence), every executed step records its inverse, and the
 // first failing step triggers a best-effort rollback of the completed
-// steps in reverse order before the error is returned. A plan containing
-// migration steps requires a non-nil Migrator; this is validated up front
-// so a nil Migrator can never strand a half-applied plan.
+// steps in reverse order before the error is returned; a failed undo's
+// error joins it. A plan containing migration steps requires a non-nil
+// Migrator; this is validated up front so a nil Migrator can never strand
+// a half-applied plan.
 func (o *Overlay) Apply(plan Plan, mig Migrator) (ApplyResult, error) {
 	var res ApplyResult
 	for _, s := range plan.Steps {
@@ -170,15 +171,21 @@ func (o *Overlay) Apply(plan Plan, mig Migrator) (ApplyResult, error) {
 	}
 	type undoEntry struct {
 		step int // index into res.Steps, to mark the step rolled back
-		fn   func()
+		fn   func() error
 	}
 	var undos []undoEntry
-	rollback := func() {
+	rollback := func() error {
+		var errs []error
 		for i := len(undos) - 1; i >= 0; i-- {
-			undos[i].fn()
-			res.Steps[undos[i].step].Outcome = StepRolledBack
+			sr := &res.Steps[undos[i].step]
+			sr.Outcome = StepRolledBack
 			res.RolledBack++
+			if err := undos[i].fn(); err != nil {
+				sr.Outcome, sr.Err = StepRollbackFailed, err.Error()
+				errs = append(errs, fmt.Errorf("vnet: rollback incomplete: undo %s: %w", sr.Desc, err))
+			}
 		}
+		return errors.Join(errs...)
 	}
 	for i, s := range plan.Steps {
 		sp := o.stepSpan(plan.Trace, s)
@@ -187,8 +194,7 @@ func (o *Overlay) Apply(plan Plan, mig Migrator) (ApplyResult, error) {
 			res.Steps[i].Outcome = StepFailed
 			res.Steps[i].Err = err.Error()
 			endStepSpan(sp, StepFailed, err)
-			rollback()
-			return res, fmt.Errorf("vnet: apply %s: %w", s, err)
+			return res, errors.Join(fmt.Errorf("vnet: apply %s: %w", s, err), rollback())
 		}
 		if !changed {
 			res.Steps[i].Outcome = StepSkipped
@@ -258,7 +264,7 @@ func (o *Overlay) stepDaemon(s Step) *Daemon {
 // applyStep executes one step, returning whether it changed anything and
 // the inverse action for rollback. ctx travels with membership changes so
 // every member's ring-transition events join the plan's trace.
-func (o *Overlay) applyStep(s Step, mig Migrator, ctx obs.TraceContext) (changed bool, undo func(), err error) {
+func (o *Overlay) applyStep(s Step, mig Migrator, ctx obs.TraceContext) (changed bool, undo func() error, err error) {
 	switch s.Op {
 	case OpAddLink:
 		na, nb := o.Node(s.A), o.Node(s.B)
@@ -274,7 +280,7 @@ func (o *Overlay) applyStep(s Step, mig Migrator, ctx obs.TraceContext) (changed
 		if err := o.ConnectPair(s.A, s.B); err != nil {
 			return false, nil, err
 		}
-		return true, func() { o.DisconnectPair(s.A, s.B) }, nil
+		return true, func() error { _, err := o.DisconnectPair(s.A, s.B); return err }, nil
 
 	case OpRemoveLink:
 		if o.ProxyNode(s.A) != nil || o.ProxyNode(s.B) != nil {
@@ -287,7 +293,7 @@ func (o *Overlay) applyStep(s Step, mig Migrator, ctx obs.TraceContext) (changed
 		if !had {
 			return false, nil, nil
 		}
-		return true, func() { o.ConnectPair(s.A, s.B) }, nil
+		return true, func() error { return o.ConnectPair(s.A, s.B) }, nil
 
 	case OpAddRule:
 		node := o.Node(s.Host)
@@ -300,9 +306,9 @@ func (o *Overlay) applyStep(s Step, mig Migrator, ctx obs.TraceContext) (changed
 		}
 		node.Daemon.AddRule(s.MAC, s.NextHop)
 		if had {
-			return true, func() { node.Daemon.AddRule(s.MAC, prev) }, nil
+			return true, func() error { node.Daemon.AddRule(s.MAC, prev); return nil }, nil
 		}
-		return true, func() { node.Daemon.RemoveRule(s.MAC) }, nil
+		return true, func() error { node.Daemon.RemoveRule(s.MAC); return nil }, nil
 
 	case OpRemoveRule:
 		node := o.Node(s.Host)
@@ -314,7 +320,7 @@ func (o *Overlay) applyStep(s Step, mig Migrator, ctx obs.TraceContext) (changed
 			return false, nil, nil
 		}
 		node.Daemon.RemoveRule(s.MAC)
-		return true, func() { node.Daemon.AddRule(s.MAC, prev) }, nil
+		return true, func() error { node.Daemon.AddRule(s.MAC, prev); return nil }, nil
 
 	case OpMigrate:
 		if o.Node(s.B) == nil {
@@ -323,7 +329,7 @@ func (o *Overlay) applyStep(s Step, mig Migrator, ctx obs.TraceContext) (changed
 		if err := mig.Migrate(s.MAC, s.A, s.B); err != nil {
 			return false, nil, err
 		}
-		return true, func() { mig.Migrate(s.MAC, s.B, s.A) }, nil
+		return true, func() error { return mig.Migrate(s.MAC, s.B, s.A) }, nil
 
 	case OpSetProxies:
 		if o.Ring != nil && sameMembers(o.Ring.Members(), s.Proxies) {
@@ -338,7 +344,7 @@ func (o *Overlay) applyStep(s Step, mig Migrator, ctx obs.TraceContext) (changed
 			// but also unreachable from NewMesh, which always installs one.
 			return true, nil, nil
 		}
-		return true, func() { o.SetProxySetCtx(ctx, prev) }, nil
+		return true, func() error { _, err := o.SetProxySetCtx(ctx, prev); return err }, nil
 
 	default:
 		return false, nil, fmt.Errorf("unknown op %v", s.Op)

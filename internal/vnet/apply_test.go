@@ -192,6 +192,48 @@ func TestApplyRecordsPerStepOutcomes(t *testing.T) {
 	}
 }
 
+// TestApplyReportsFailedUndo: an undo that errors leaves its step marked
+// rollback-failed with the undo's error, and Apply's error says the
+// rollback is incomplete. RolledBack still counts every undo executed.
+func TestApplyReportsFailedUndo(t *testing.T) {
+	o := applyOverlay(t, "h1", "h2", "h3")
+	mac := ethernet.VMMAC(1)
+	refused := errors.New("h1 refuses the VM back")
+	mig := MigratorFunc(func(mac ethernet.MAC, from, to string) error {
+		if from == "h2" && to == "h1" {
+			return refused
+		}
+		return nil
+	})
+	plan := Plan{Steps: []Step{
+		{Op: OpAddLink, A: "h1", B: "h2"},                         // applied, then undone
+		{Op: OpMigrate, MAC: mac, A: "h1", B: "h2"},               // applied; its undo fails
+		{Op: OpAddRule, Host: "nowhere", NextHop: "h2", MAC: mac}, // fails
+	}}
+	res, err := o.Apply(plan, mig)
+	want := []StepOutcome{StepRolledBack, StepRollbackFailed, StepFailed}
+	for i, sr := range res.Steps {
+		if sr.Outcome != want[i] {
+			t.Fatalf("step %d (%s) outcome = %q, want %q", i, sr.Desc, sr.Outcome, want[i])
+		}
+	}
+	if !strings.Contains(res.Steps[1].Err, "refuses") {
+		t.Fatalf("rollback-failed step error = %q", res.Steps[1].Err)
+	}
+	if !errors.Is(err, refused) || !strings.Contains(err.Error(), "rollback incomplete") {
+		t.Fatalf("err = %v, want the failed step and an incomplete rollback", err)
+	}
+	if !strings.Contains(err.Error(), "unknown host") {
+		t.Fatalf("err = %v lost the failing step's cause", err)
+	}
+	if res.RolledBack != 2 {
+		t.Fatalf("RolledBack = %d, want 2 undo actions executed", res.RolledBack)
+	}
+	if _, ok := o.Node("h1").Daemon.Link("h2"); ok {
+		t.Fatal("link survived rollback")
+	}
+}
+
 func TestApplyMigrationNeedsMigrator(t *testing.T) {
 	o := applyOverlay(t, "h1", "h2")
 	plan := Plan{Steps: []Step{

@@ -93,9 +93,6 @@ type Link struct {
 	closed bool
 }
 
-// Peer returns the remote daemon's name.
-func (l *Link) Peer() string { return l.peer }
-
 // Stats returns a snapshot of the counters.
 func (l *Link) Stats() LinkStats {
 	return LinkStats{

@@ -331,7 +331,7 @@ func TestScaleControllerConvergesOverShardViews(t *testing.T) {
 		if res.Err != nil {
 			t.Fatalf("cycle %d: %v", i, res.Err)
 		}
-		if res.Plan.Empty() || !res.GateAllowed {
+		if len(res.Plan.Steps) == 0 || !res.GateAllowed {
 			converged = true
 			break
 		}

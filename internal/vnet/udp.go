@@ -134,16 +134,6 @@ func (d *Daemon) ListenUDP(addr string) (string, error) {
 	return sock.LocalAddr().String(), nil
 }
 
-// UDPAddr returns the daemon's virtual-UDP address, if listening.
-func (d *Daemon) UDPAddr() (string, bool) {
-	d.mu.RLock()
-	defer d.mu.RUnlock()
-	if d.udpSock == nil {
-		return "", false
-	}
-	return d.udpSock.LocalAddr().String(), true
-}
-
 func (d *Daemon) udpReadLoop(sock *net.UDPConn) {
 	// Messages are handled straight out of the socket buffer: nothing
 	// downstream keeps a reference into it (local delivery copies).

@@ -107,7 +107,7 @@ func TestUDPHelloRetryTolerated(t *testing.T) {
 	// Re-dialing an established link must not break it (duplicate hellos
 	// are re-acknowledged, not re-registered).
 	a, b := udpPair(t)
-	addrB, _ := b.UDPAddr()
+	addrB := b.udpSock.LocalAddr().String()
 	if _, err := a.ConnectUDP(addrB); err != nil {
 		t.Fatal(err)
 	}

@@ -39,11 +39,11 @@ func TestChaosForwarderReconnectsWithCappedBackoff(t *testing.T) {
 	}
 	defer f.Close()
 	const base, cap = 10 * time.Millisecond, 80 * time.Millisecond
-	f.SetRetry(base, cap)
+	wren.SetRetry(f, base, cap)
 
 	rec := pcap.Record{Dir: pcap.Out, Flow: pcap.FlowKey{Local: "h1", Remote: "h2"}, Size: 1500, Len: 1460}
 	pump := func() {
-		f.Feed(rec)
+		f.FeedAll([]pcap.Record{rec})
 		f.Flush()
 	}
 
@@ -51,7 +51,7 @@ func TestChaosForwarderReconnectsWithCappedBackoff(t *testing.T) {
 	deadline := time.Now().Add(10 * time.Second)
 	for {
 		pump()
-		if _, records := repo.Received(); records > 0 && f.Connected() {
+		if _, records := repo.Received(); records > 0 && connected(f) {
 			break
 		}
 		if time.Now().After(deadline) {
@@ -70,17 +70,16 @@ func TestChaosForwarderReconnectsWithCappedBackoff(t *testing.T) {
 	deadline = time.Now().Add(10 * time.Second)
 	for {
 		pump()
-		backoff, _ := f.Backoff()
+		backoff, next, connected := wren.RetryState(f)
 		if backoff > cap {
 			t.Fatalf("backoff %v exceeded cap %v", backoff, cap)
 		}
-		if backoff == cap && !f.Connected() {
+		if backoff == cap && !connected {
 			break
 		}
 		if time.Now().After(deadline) {
-			backoff, next := f.Backoff()
 			t.Fatalf("backoff never reached the cap: backoff=%v next=%v connected=%v",
-				backoff, next, f.Connected())
+				backoff, next, connected)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
@@ -96,20 +95,25 @@ func TestChaosForwarderReconnectsWithCappedBackoff(t *testing.T) {
 	deadline = time.Now().Add(10 * time.Second)
 	for {
 		pump()
-		if _, records := repo2.Received(); records > 0 && f.Connected() {
+		if _, records := repo2.Received(); records > 0 && connected(f) {
 			break
 		}
 		if time.Now().After(deadline) {
-			backoff, next := f.Backoff()
+			backoff, next, _ := wren.RetryState(f)
 			t.Fatalf("never reconnected after restart: backoff=%v next=%v", backoff, next)
 		}
 		time.Sleep(2 * time.Millisecond)
 	}
-	if backoff, _ := f.Backoff(); backoff != 0 {
+	if backoff, _, _ := wren.RetryState(f); backoff != 0 {
 		t.Fatalf("backoff = %v after successful reconnect, want 0", backoff)
 	}
 	// The restarted repository rebuilt a monitor for the origin.
 	if _, ok := repo2.Monitor("h1"); !ok {
 		t.Fatal("restarted repository has no monitor for origin h1")
 	}
+}
+
+func connected(f *wren.Forwarder) bool {
+	_, _, ok := wren.RetryState(f)
+	return ok
 }

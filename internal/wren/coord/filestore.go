@@ -195,9 +195,6 @@ func (s *FileStore) Watch(buffer int) (<-chan Record, func(), error) {
 // Version implements Store.
 func (s *FileStore) Version() uint64 { return s.mem.Version() }
 
-// Path returns the log file's location.
-func (s *FileStore) Path() string { return s.path }
-
 // Close implements Store: flushes and closes the log, then closes the
 // in-memory state.
 func (s *FileStore) Close() error {

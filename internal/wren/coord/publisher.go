@@ -83,14 +83,6 @@ func (p *Publisher) Publish(m *BandwidthMap) *BandwidthMap {
 // publication. The returned map is shared and must not be mutated.
 func (p *Publisher) Current() *BandwidthMap { return p.cur.Load() }
 
-// Generation reports the latest published generation (0 before the first
-// publication).
-func (p *Publisher) Generation() uint64 {
-	p.mu.Lock()
-	defer p.mu.Unlock()
-	return p.gen
-}
-
 // ServeHTTP serves the current map in its text form — mount at /map.
 // Before the first publication it answers 404, which consumers treat as
 // "no map yet", distinct from a malformed one.

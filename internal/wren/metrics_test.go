@@ -54,9 +54,7 @@ func TestRepositoryMetricsPropagateToMonitors(t *testing.T) {
 		t.Fatal(err)
 	}
 	outs := mkOuts(0, 8, 100*us, 1500, 0)
-	for _, r := range outs {
-		fw.Feed(r)
-	}
+	fw.FeedAll(outs)
 	if err := fw.Flush(); err != nil {
 		t.Fatal(err)
 	}

@@ -23,12 +23,13 @@ type Config struct {
 	// MaxPending bounds per-flow buffered records (default 1<<16); beyond
 	// it the oldest pending data is abandoned.
 	MaxPending int
-	// Shards sets the monitor's lock striping width (default 16, rounded
-	// up to a power of two, capped at 64 so a batch's touched-shard set
-	// fits one machine word). Records shard by remote endpoint, so all
-	// state for one path lives under a single shard lock.
-	Shards int
 }
+
+// monitorShards is the monitor's lock striping width. Records shard by
+// remote endpoint, so all state for one path lives under a single shard
+// lock. It must be a power of two (the index is a hash mask) and at most
+// 64, so that a batch's touched-shard set fits one machine word.
+const monitorShards = 16
 
 func (c Config) withDefaults() Config {
 	c.Scan = c.Scan.withDefaults()
@@ -38,15 +39,6 @@ func (c Config) withDefaults() Config {
 	}
 	if c.MaxPending == 0 {
 		c.MaxPending = 1 << 16
-	}
-	if c.Shards == 0 {
-		c.Shards = 16
-	}
-	if c.Shards > 64 {
-		c.Shards = 64
-	}
-	if c.Shards&(c.Shards-1) != 0 {
-		c.Shards = 1 << bits.Len(uint(c.Shards))
 	}
 	return c
 }
@@ -88,7 +80,6 @@ type Monitor struct {
 	cfg    Config
 	local  string
 	shards []monitorShard
-	mask   uint32
 	lastAt atomic.Int64 // newest record timestamp seen
 	met    atomic.Pointer[MonitorMetrics]
 	hook   atomic.Pointer[TrainHook]
@@ -121,8 +112,7 @@ func NewMonitor(local string, cfg Config) *Monitor {
 	m := &Monitor{
 		cfg:    cfg,
 		local:  local,
-		shards: make([]monitorShard, cfg.Shards),
-		mask:   uint32(cfg.Shards - 1),
+		shards: make([]monitorShard, monitorShards),
 	}
 	for i := range m.shards {
 		m.shards[i].flows = make(map[pcap.FlowKey]*flowStream)
@@ -131,9 +121,6 @@ func NewMonitor(local string, cfg Config) *Monitor {
 	m.met.Store(&MonitorMetrics{})
 	return m
 }
-
-// Local returns the monitored host's endpoint name.
-func (m *Monitor) Local() string { return m.local }
 
 // shardFor hashes a remote endpoint name (FNV-1a) onto a shard.
 func (m *Monitor) shardFor(remote string) *monitorShard {
@@ -170,7 +157,7 @@ var batchScratch = sync.Pool{New: func() any {
 }}
 
 // FeedAll ingests a batch of records, locking each touched shard exactly
-// once: records are bucketed by shard index up front (shard count <= 64,
+// once: records are bucketed by shard index up front (monitorShards <= 64,
 // so the touched set is one bitmask), then each shard drains its bucket
 // under a single lock acquisition.
 func (m *Monitor) FeedAll(rs []pcap.Record) {
@@ -217,7 +204,7 @@ func (m *Monitor) shardIndex(remote string) uint8 {
 		h ^= uint32(remote[i])
 		h *= 16777619
 	}
-	return uint8(h & m.mask)
+	return uint8(h & (monitorShards - 1))
 }
 
 // ingest files one record into the shard's pending streams. Called with

@@ -249,7 +249,8 @@ func (r *Repository) Close() {
 
 // Forwarder ships filtered capture records to a Repository. A broken
 // connection does not wedge it: buffered records are retained (up to a
-// bound) and the next flush redials with capped exponential backoff.
+// bound) and the next flush redials with exponential backoff, 100 ms
+// doubling to a 5 s cap.
 type Forwarder struct {
 	origin  string
 	addr    string
@@ -345,41 +346,11 @@ func (f *Forwarder) SetTrace(ctx obs.TraceContext) {
 	f.mu.Unlock()
 }
 
-// SetRetry adjusts the reconnect backoff: the first retry waits base, each
-// failure doubles the wait up to max. Zero values keep the current
-// settings (defaults 100ms and 5s).
-func (f *Forwarder) SetRetry(base, max time.Duration) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if base > 0 {
-		f.retryBase = base
-	}
-	if max > 0 {
-		f.retryMax = max
-	}
-}
-
-// Feed accepts one capture record, applying the same filter the local
-// monitor does (outgoing data, incoming ACKs) so irrelevant traffic never
-// crosses the network.
-func (f *Forwarder) Feed(r pcap.Record) {
-	relevant := (r.Dir == pcap.Out && !r.IsAck) || (r.Dir == pcap.In && r.IsAck)
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if !relevant {
-		f.filtered++
-		return
-	}
-	f.batch = append(f.batch, r)
-	if len(f.batch) >= f.batchSz {
-		f.flushLocked()
-	}
-}
-
 // FeedAll accepts a batch of capture records under one lock acquisition —
-// the shape the VNET daemon's feed ring delivers. The relevance filter is
-// applied per record; flushes trigger whenever the outgoing batch reaches
-// the threshold mid-ingest.
+// the shape the VNET daemon's feed ring delivers. It applies the same
+// filter the local monitor does (outgoing data, incoming ACKs) so
+// irrelevant traffic never crosses the network; flushes trigger whenever
+// the outgoing batch reaches the threshold mid-ingest.
 func (f *Forwarder) FeedAll(rs []pcap.Record) {
 	if len(rs) == 0 {
 		return
@@ -547,23 +518,6 @@ func (f *Forwarder) Stats() (sent, filtered uint64) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
 	return f.sent, f.filtered
-}
-
-// Backoff reports the reconnect state: the current backoff (0 when the
-// last flush succeeded or nothing failed yet) and when the next redial is
-// allowed. Tests and /debug introspection use it to verify the cap.
-func (f *Forwarder) Backoff() (backoff time.Duration, nextRetry time.Time) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.backoff, f.nextRetry
-}
-
-// Connected reports whether a connection to the repository currently
-// exists.
-func (f *Forwarder) Connected() bool {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.conn != nil
 }
 
 // Close flushes and closes the connection. Further flushes become no-ops:

@@ -48,14 +48,10 @@ func TestRepositoryEndToEnd(t *testing.T) {
 	// A congested synthetic train plus its ACKs, then a closing record.
 	outs := mkOuts(0, 20, 100*us, 1500, 0)
 	acks := mkAcks(outs, func(i int) int64 { return 1000*us + int64(i)*60*us })
-	for _, r := range outs {
-		fw.Feed(r)
-	}
-	for _, r := range acks {
-		fw.Feed(r)
-	}
-	fw.Feed(pcap.Record{At: outs[19].At + 200_000_000, Dir: pcap.In, IsAck: true,
-		Flow: pcap.FlowKey{Local: "a", Remote: "z"}})
+	fw.FeedAll(outs)
+	fw.FeedAll(acks)
+	fw.FeedAll([]pcap.Record{{At: outs[19].At + 200_000_000, Dir: pcap.In, IsAck: true,
+		Flow: pcap.FlowKey{Local: "a", Remote: "z"}}})
 	if err := fw.Flush(); err != nil {
 		t.Fatal(err)
 	}
@@ -82,10 +78,10 @@ func TestRepositoryEndToEnd(t *testing.T) {
 func TestForwarderFilters(t *testing.T) {
 	_, fw := repoPair(t)
 	flow := pcap.FlowKey{Local: "a", Remote: "b"}
-	fw.Feed(pcap.Record{Dir: pcap.Out, Flow: flow, Size: 1500})            // kept
-	fw.Feed(pcap.Record{Dir: pcap.In, IsAck: true, Flow: flow})            // kept
-	fw.Feed(pcap.Record{Dir: pcap.In, Flow: flow, Size: 1500})             // filtered
-	fw.Feed(pcap.Record{Dir: pcap.Out, IsAck: true, Flow: flow, Size: 40}) // filtered
+	fw.FeedAll([]pcap.Record{{Dir: pcap.Out, Flow: flow, Size: 1500}})            // kept
+	fw.FeedAll([]pcap.Record{{Dir: pcap.In, IsAck: true, Flow: flow}})            // kept
+	fw.FeedAll([]pcap.Record{{Dir: pcap.In, Flow: flow, Size: 1500}})             // filtered
+	fw.FeedAll([]pcap.Record{{Dir: pcap.Out, IsAck: true, Flow: flow, Size: 40}}) // filtered
 	fw.Flush()
 	sent, filtered := fw.Stats()
 	if sent != 2 || filtered != 2 {
@@ -98,13 +94,13 @@ func TestForwarderBatching(t *testing.T) {
 	flow := pcap.FlowKey{Local: "a", Remote: "b"}
 	// batchSize is 32: 31 records stay buffered, the 32nd triggers a send.
 	for i := 0; i < 31; i++ {
-		fw.Feed(pcap.Record{At: int64(i), Dir: pcap.Out, Flow: flow, Size: 1500})
+		fw.FeedAll([]pcap.Record{{At: int64(i), Dir: pcap.Out, Flow: flow, Size: 1500}})
 	}
 	time.Sleep(30 * time.Millisecond)
 	if b, _ := repo.Received(); b != 0 {
 		t.Fatalf("premature flush: %d batches", b)
 	}
-	fw.Feed(pcap.Record{At: 31, Dir: pcap.Out, Flow: flow, Size: 1500})
+	fw.FeedAll([]pcap.Record{{At: 31, Dir: pcap.Out, Flow: flow, Size: 1500}})
 	waitRepo(t, "auto flush", func() bool {
 		b, _ := repo.Received()
 		return b == 1
@@ -113,8 +109,8 @@ func TestForwarderBatching(t *testing.T) {
 
 func TestForwarderCloseFlushes(t *testing.T) {
 	repo, fw := repoPair(t)
-	fw.Feed(pcap.Record{At: 1, Dir: pcap.Out,
-		Flow: pcap.FlowKey{Local: "a", Remote: "b"}, Size: 1500})
+	fw.FeedAll([]pcap.Record{{At: 1, Dir: pcap.Out,
+		Flow: pcap.FlowKey{Local: "a", Remote: "b"}, Size: 1500}})
 	if err := fw.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -136,8 +132,8 @@ func TestRepositoryMultipleOrigins(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		fw.Feed(pcap.Record{At: 1, Dir: pcap.Out,
-			Flow: pcap.FlowKey{Local: origin, Remote: "x"}, Size: 1500})
+		fw.FeedAll([]pcap.Record{{At: 1, Dir: pcap.Out,
+			Flow: pcap.FlowKey{Local: origin, Remote: "x"}, Size: 1500}})
 		fw.Close()
 	}
 	waitRepo(t, "both origins", func() bool { return len(repo.Origins()) == 2 })
@@ -154,12 +150,12 @@ func TestForwarderReconnects(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fw.Close(); repo.Close() })
-	fw.SetRetry(time.Millisecond, 10*time.Millisecond)
+	SetRetry(fw, time.Millisecond, 10*time.Millisecond)
 	fm := NewForwarderMetrics(obs.NewRegistry())
 	fw.SetMetrics(fm)
 
 	flow := pcap.FlowKey{Local: "a", Remote: "b"}
-	fw.Feed(pcap.Record{At: 1, Dir: pcap.Out, Flow: flow, Size: 1500})
+	fw.FeedAll([]pcap.Record{{At: 1, Dir: pcap.Out, Flow: flow, Size: 1500}})
 	waitRepo(t, "first record", func() bool {
 		_, recs := repo.Received()
 		return recs == 1
@@ -170,11 +166,11 @@ func TestForwarderReconnects(t *testing.T) {
 	fw.mu.Lock()
 	fw.conn.Close()
 	fw.mu.Unlock()
-	fw.Feed(pcap.Record{At: 2, Dir: pcap.Out, Flow: flow, Size: 1500})
+	fw.FeedAll([]pcap.Record{{At: 2, Dir: pcap.Out, Flow: flow, Size: 1500}})
 	waitRepo(t, "flush failure observed", func() bool { return fw.Flush() != nil })
 
 	waitRepo(t, "reconnect and redelivery", func() bool {
-		fw.Feed(pcap.Record{At: 3, Dir: pcap.Out, Flow: flow, Size: 1500})
+		fw.FeedAll([]pcap.Record{{At: 3, Dir: pcap.Out, Flow: flow, Size: 1500}})
 		_, recs := repo.Received()
 		return fw.Flush() == nil && recs >= 2
 	})
@@ -200,14 +196,14 @@ func TestForwarderBoundsBufferWhileDown(t *testing.T) {
 	t.Cleanup(func() { fw.Close(); repo.Close() })
 	// Make every retry fail: break the conn and point redials at a dead
 	// port, with an effectively infinite first backoff so no redial races.
-	fw.SetRetry(time.Hour, time.Hour)
+	SetRetry(fw, time.Hour, time.Hour)
 	fw.mu.Lock()
 	fw.conn.Close()
 	fw.addr = "127.0.0.1:1"
 	fw.mu.Unlock()
 	flow := pcap.FlowKey{Local: "a", Remote: "b"}
 	for i := 0; i < 200; i++ {
-		fw.Feed(pcap.Record{At: int64(i), Dir: pcap.Out, Flow: flow, Size: 1500})
+		fw.FeedAll([]pcap.Record{{At: int64(i), Dir: pcap.Out, Flow: flow, Size: 1500}})
 	}
 	fw.mu.Lock()
 	buffered := len(fw.batch)
@@ -329,7 +325,7 @@ func TestForwarderWriteFailsMidFrame(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { fw.Close(); repo.Close() })
-	fw.SetRetry(time.Millisecond, 10*time.Millisecond)
+	SetRetry(fw, time.Millisecond, 10*time.Millisecond)
 	received := func(batches, records uint64) func() bool {
 		return func() bool {
 			b, r := repo.Received()
@@ -350,7 +346,7 @@ func TestForwarderWriteFailsMidFrame(t *testing.T) {
 	if err := fw.Flush(); err == nil {
 		t.Fatal("flush over a cut connection reported success")
 	}
-	if fw.Connected() {
+	if _, _, connected := RetryState(fw); connected {
 		t.Fatal("forwarder kept the connection its write failed on")
 	}
 	waitRepo(t, "repository to drop the cut connection", func() bool {

@@ -11,17 +11,6 @@ import (
 // Tests for the sharded monitor: batch/record-at-a-time equivalence,
 // shard-count normalization, and concurrent feed/poll/query safety.
 
-func TestConfigShardsNormalized(t *testing.T) {
-	cases := []struct{ in, want int }{
-		{0, 16}, {1, 1}, {3, 4}, {16, 16}, {33, 64}, {100, 64},
-	}
-	for _, c := range cases {
-		if got := (Config{Shards: c.in}).withDefaults().Shards; got != c.want {
-			t.Errorf("Shards %d normalized to %d, want %d", c.in, got, c.want)
-		}
-	}
-}
-
 // TestFeedAllMatchesFeed: the batched ingest path must be observationally
 // identical to record-at-a-time feeding — same stats, same remotes, same
 // estimates after analysis.
