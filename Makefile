@@ -90,7 +90,7 @@ vet:
 
 # Non-test Go lines per package and in total, over tracked files, with the
 # benchmark harness (cmd/meshbench, internal/bench) left out. ROADMAP item
-# 4 asks every consolidation PR to quote this before and after in
+# 11 asks every consolidation PR to quote this before and after in
 # CHANGES.md.
 loc:
 	@git ls-files '*.go' | grep -v '_test\.go$$' | grep -v '^internal/bench/\|^cmd/meshbench/' | \

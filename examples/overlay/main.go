@@ -12,28 +12,66 @@ import (
 	"log"
 	"time"
 
-	"freemeasure/internal/core"
+	"freemeasure/internal/control"
+	"freemeasure/internal/ethernet"
+	"freemeasure/internal/vm"
+	"freemeasure/internal/vnet"
 	"freemeasure/internal/vttif"
+	"freemeasure/internal/wren"
 	"freemeasure/internal/wren/coord"
 )
 
+// overlayWren is every daemon's Wren configuration. Wall-clock overlay
+// traffic is sparser and noisier than simulated kernel traces: merge
+// sub-millisecond write jitter into bursts and close trains after 20 ms of
+// idleness.
+var overlayWren = wren.Config{Scan: wren.ScanConfig{BurstGap: 1_000_000, MaxGap: 20_000_000}}
+
 func main() {
-	sys, err := core.NewSystem(core.Config{
-		Hosts:       []string{"fast1", "fast2", "slowhost"},
-		ReportEvery: 100 * time.Millisecond,
-		VTTIF:       vttif.Config{Alpha: 0.6, HoldUpdates: 1},
+	hosts := []string{"fast1", "fast2", "slowhost"}
+	o, err := vnet.NewStar(hosts, vttif.Config{Alpha: 0.6, HoldUpdates: 1}, overlayWren)
+	if err != nil {
+		log.Fatal(err)
+	}
+	defer o.Close()
+
+	// The adaptation loop: sense the Proxy's global view, let VADAPT
+	// decide, apply the plan to the overlay. A migration re-attaches the
+	// VM to the target host's daemon; swapped endpoints undo it.
+	var vms []*vm.VM
+	ctl, err := control.New(control.Config{
+		Source: &control.ViewSource{
+			View:  o.View,
+			Hosts: func() []string { return hosts },
+			VMs: func() []control.VMInfo {
+				out := make([]control.VMInfo, len(vms))
+				for i, v := range vms {
+					out[i] = control.VMInfo{MAC: v.MAC(), Host: v.Daemon().Name()}
+				}
+				return out
+			},
+		},
+		Applier: control.OverlayApplier{Overlay: o, Migrator: vnet.MigratorFunc(func(mac ethernet.MAC, _, to string) error {
+			for _, v := range vms {
+				if v.MAC() == mac {
+					v.AttachTo(o.Node(to).Daemon)
+					return nil
+				}
+			}
+			return fmt.Errorf("no vm with MAC %s", mac)
+		})},
 	})
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer sys.Close()
+	o.StartReporting(100 * time.Millisecond)
 
 	// Emulate physical path capacities with token buckets on the links.
 	limit := func(host string, mbps float64) {
-		if l, ok := sys.Overlay().Node(host).Daemon.Link("proxy"); ok {
+		if l, ok := o.Node(host).Daemon.Link("proxy"); ok {
 			l.SetRateMbps(mbps)
 		}
-		if l, ok := sys.Overlay().Proxy.Daemon.Link(host); ok {
+		if l, ok := o.Proxy.Daemon.Link(host); ok {
 			l.SetRateMbps(mbps)
 		}
 	}
@@ -41,8 +79,10 @@ func main() {
 	limit("fast2", 80)
 	limit("slowhost", 4)
 
-	v1, _ := sys.AddVM(1, "fast1")
-	v2, _ := sys.AddVM(2, "slowhost") // unlucky initial placement
+	v1, v2 := vm.New(1), vm.New(2)
+	v1.AttachTo(o.Node("fast1").Daemon)
+	v2.AttachTo(o.Node("slowhost").Daemon) // unlucky initial placement
+	vms = []*vm.VM{v1, v2}
 	fmt.Println("VM1 on fast1, VM2 on slowhost (4 Mbit/s path); starting chatty traffic...")
 
 	stop := make(chan struct{})
@@ -65,7 +105,7 @@ func main() {
 	// the fast leg to read as fast in both directions (or 15 s).
 	fmt.Println("measuring passively...")
 	measured := func(a, b string) float64 {
-		if p, ok := sys.Overlay().View.Store.Get(coord.Path{From: a, To: b}); ok && p.Mbps > 0 {
+		if p, ok := o.View.Store.Get(coord.Path{From: a, To: b}); ok && p.Mbps > 0 {
 			return p.Mbps
 		}
 		return 0
@@ -77,14 +117,14 @@ func main() {
 		}
 	}
 	for _, pair := range [][2]string{{"fast1", "proxy"}, {"slowhost", "proxy"}} {
-		if p, ok := sys.Overlay().View.Store.Get(coord.Path{From: pair[0], To: pair[1]}); ok && p.Mbps > 0 {
+		if p, ok := o.View.Store.Get(coord.Path{From: pair[0], To: pair[1]}); ok && p.Mbps > 0 {
 			fmt.Printf("wren: %s -> %s  %.1f Mbit/s (%s)\n", pair[0], pair[1], p.Mbps, p.Kind)
 		}
 	}
 
 	// One turn of the loop: sense the Proxy's views, let VADAPT decide,
 	// apply the plan transactionally.
-	res := sys.Controller().RunCycle()
+	res := ctl.RunCycle()
 	if res.Err != nil {
 		log.Fatal(res.Err)
 	}

@@ -23,9 +23,9 @@ import (
 
 // Mesh chaos: the scenario runner killing and partitioning proxies of a
 // live sharded overlay (vnet.NewMesh), asserting the re-home contract the
-// ISSUE 7 tentpole promises — daemons survive the loss of any proxy,
-// registrations re-learn at the inheriting successor, and an operator can
-// restore full membership transactionally afterwards.
+// mesh promises — daemons survive the loss of any proxy, registrations
+// re-learn at the inheriting successor, and an operator can restore full
+// membership afterwards.
 
 func meshWait(t *testing.T, what string, cond func() bool) {
 	t.Helper()
@@ -198,8 +198,9 @@ func TestChaosMeshProxyCrashRehomesAndRelearns(t *testing.T) {
 
 // A timed partition between a host and its home proxy: the host re-homes
 // onto the shrunk ring while the fault holds; after the heal the operator
-// restores full membership through the transactional proxy-set step and
-// the host's ring, home, and delivery all recover.
+// restores full membership the way vnetd installs a ring (SetProxyRing and
+// SetDefaultRoute on each member) and the host's ring, home, and delivery
+// all recover.
 func TestChaosMeshPartitionRehomesThenOperatorRestores(t *testing.T) {
 	seed := chaosSeed(t)
 	fr := obs.NewFlightRecorder(512)
@@ -248,9 +249,18 @@ func TestChaosMeshPartitionRehomesThenOperatorRestores(t *testing.T) {
 		return ok
 	})
 	// Rings only ever shrink on their own; restoring membership is the
-	// operator's transactional move (the OpSetProxies engine).
-	if _, err := o.SetProxySet(o.Ring.Members()); err != nil {
-		t.Fatalf("restore proxy set: %v", err)
+	// operator's move: a fresh ring over the full member list on every
+	// member, and each host's default route at its home on that ring.
+	ring, err := vnet.NewProxyRing(o.Ring.Members(), 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range o.Proxies {
+		p.Daemon.SetProxyRing(ring)
+	}
+	for _, n := range o.Nodes {
+		n.Daemon.SetProxyRing(ring)
+		n.Daemon.SetDefaultRoute(ring.HomeProxy(n.Daemon.Name()))
 	}
 	if ring := h1.Ring(); !ring.Contains(home) {
 		t.Fatalf("h1's ring still missing %s after restore", home)
@@ -345,19 +355,19 @@ func TestChaosMeshMigrateSettles(t *testing.T) {
 		t.Helper()
 		v.AttachTo(o.Node(to).Daemon)
 		want += perAnnounce
-		meshWait(t, fmt.Sprintf("vm%d's announce from %s", v.ID(), to), func() bool {
+		meshWait(t, fmt.Sprintf("%s's announce from %s", v.MAC(), to), func() bool {
 			f, _ := totals()
 			return f >= want
 		})
 		time.Sleep(30 * time.Millisecond) // a storm would still be growing
 		if f, ttl := totals(); f != want || ttl != 0 {
-			t.Fatalf("vm%d to %s: flooded=%d ttlExpired=%d, want %d/0 (seed %d)", v.ID(), to, f, ttl, want, seed)
+			t.Fatalf("%s to %s: flooded=%d ttlExpired=%d, want %d/0 (seed %d)", v.MAC(), to, f, ttl, want, seed)
 		}
 		rx := v.Received()
 		for i, n := range o.Nodes {
 			n.Daemon.InjectFrame(meshVMFrame(v.MAC(), ethernet.VMMAC(100+i)))
 		}
-		meshWait(t, fmt.Sprintf("every host reaches vm%d at %s", v.ID(), to), func() bool {
+		meshWait(t, fmt.Sprintf("every host reaches %s at %s", v.MAC(), to), func() bool {
 			return v.Received() == rx+H
 		})
 	}

@@ -473,6 +473,9 @@ func (c *Controller) runCycle() (res CycleResult) {
 		if result.RolledBack > 0 {
 			m.PlansRolledBack.Inc()
 		}
+		if slices.ContainsFunc(result.Steps, func(s vnet.StepResult) bool { return s.Outcome == vnet.StepRollbackFailed }) {
+			m.PlansRollbackIncomplete.Inc()
+		}
 		span.SetAttr("error", err.Error())
 		span.End()
 		res.Err = fmt.Errorf("apply: %w", err)

@@ -23,14 +23,15 @@ import (
 	"freemeasure/internal/wren/coord"
 )
 
-// testSystem is a live 4-node star with one VM per host and a ViewSource
-// sensing the Proxy's global view.
+// testSystem is a live star, the VMs attached to it in id order, and a
+// ViewSource sensing the Proxy's global view and those VMs.
 type testSystem struct {
 	overlay *vnet.Overlay
 	vms     []*vm.VM
 	source  *ViewSource
 }
 
+// newTestSystem is a live star over hosts with one VM per host.
 func newTestSystem(t *testing.T, hosts []string) *testSystem {
 	t.Helper()
 	o, err := vnet.NewStar(hosts, vttif.Config{Alpha: 1, HoldUpdates: 1}, wren.Config{})
@@ -38,12 +39,16 @@ func newTestSystem(t *testing.T, hosts []string) *testSystem {
 		t.Fatal(err)
 	}
 	t.Cleanup(o.Close)
-	s := &testSystem{overlay: o}
+	s := senseStar(o, hosts)
 	for i, h := range hosts {
-		v := vm.New(i)
-		v.AttachTo(o.Node(h).Daemon)
-		s.vms = append(s.vms, v)
+		s.addVM(i, h)
 	}
+	return s
+}
+
+// senseStar wraps a running star that has no VMs yet.
+func senseStar(o *vnet.Overlay, hosts []string) *testSystem {
+	s := &testSystem{overlay: o}
 	s.source = &ViewSource{
 		View:  o.View,
 		Hosts: func() []string { return hosts },
@@ -58,7 +63,16 @@ func newTestSystem(t *testing.T, hosts []string) *testSystem {
 	return s
 }
 
-// migrator moves the test VMs between daemons, the way internal/core does.
+// addVM attaches VM id to the named host. Ids are added in increasing
+// order, the source's VM order.
+func (s *testSystem) addVM(id int, host string) *vm.VM {
+	v := vm.New(id)
+	v.AttachTo(s.overlay.Node(host).Daemon)
+	s.vms = append(s.vms, v)
+	return v
+}
+
+// migrator moves the test VMs between daemons by re-attaching them.
 func (s *testSystem) migrator() vnet.Migrator {
 	return vnet.MigratorFunc(func(mac ethernet.MAC, from, to string) error {
 		target := s.overlay.Node(to)
@@ -189,6 +203,26 @@ func TestControllerReconfiguresFastPair(t *testing.T) {
 	}
 }
 
+// migrateVM1Snap is a static snapshot over three hosts whose target
+// migrates VM1 to h2: VMs 0,1 live on h1,h3, the h1-h2 edge is fast and
+// everything touching h3 is slow.
+func migrateVM1Snap(hosts []string) *Snapshot {
+	g := topology.New(3)
+	g.AddBiEdge(0, 1, 100, 1)
+	g.AddBiEdge(0, 2, 1, 1)
+	g.AddBiEdge(1, 2, 1, 1)
+	for i, h := range hosts {
+		g.SetName(topology.NodeID(i), h)
+	}
+	return &Snapshot{
+		Problem: &vadapt.Problem{Hosts: g, NumVMs: 2,
+			Demands: []vadapt.Demand{{Src: 0, Dst: 1, Rate: 5}}},
+		Hosts:   hosts,
+		VMs:     []ethernet.MAC{ethernet.VMMAC(0), ethernet.VMMAC(1)},
+		Mapping: []topology.NodeID{0, 2},
+	}
+}
+
 func TestControllerRollsBackPartialFailure(t *testing.T) {
 	hosts := []string{"h1", "h2", "h3"}
 	o, err := vnet.NewStar(hosts, vttif.Config{Alpha: 1, HoldUpdates: 1}, wren.Config{})
@@ -197,23 +231,8 @@ func TestControllerRollsBackPartialFailure(t *testing.T) {
 	}
 	t.Cleanup(o.Close)
 
-	// Static snapshot: VMs 0,1 live on h1,h3; the h1-h2 edge is fast and
-	// everything touching h3 is slow, so the target must migrate VM1 to
-	// h2 — and the injected migrator always fails.
-	g := topology.New(3)
-	g.AddBiEdge(0, 1, 100, 1)
-	g.AddBiEdge(0, 2, 1, 1)
-	g.AddBiEdge(1, 2, 1, 1)
-	for i, h := range hosts {
-		g.SetName(topology.NodeID(i), h)
-	}
-	snap := &Snapshot{
-		Problem: &vadapt.Problem{Hosts: g, NumVMs: 2,
-			Demands: []vadapt.Demand{{Src: 0, Dst: 1, Rate: 5}}},
-		Hosts:   hosts,
-		VMs:     []ethernet.MAC{ethernet.VMMAC(0), ethernet.VMMAC(1)},
-		Mapping: []topology.NodeID{0, 2},
-	}
+	// The injected migrator always fails.
+	snap := migrateVM1Snap(hosts)
 	boom := errors.New("migration refused")
 	reg := obs.NewRegistry()
 	m := NewMetrics(reg)
@@ -267,6 +286,66 @@ func TestControllerRollsBackPartialFailure(t *testing.T) {
 	})
 	if res := c2.RunCycle(); res.Err != nil || !res.Applied {
 		t.Fatalf("recovery cycle: %s", res.Summary())
+	}
+}
+
+// failingTail applies its plan with one more step appended that always
+// fails, so every step of the real plan is rolled back.
+type failingTail struct{ inner Applier }
+
+func (a failingTail) Apply(plan vnet.Plan) (vnet.ApplyResult, error) {
+	plan.Steps = append(slices.Clip(plan.Steps), vnet.Step{Op: vnet.OpAddRule, Host: "no-such-host", NextHop: "h1"})
+	return a.inner.Apply(plan)
+}
+
+// TestControllerCountsIncompleteRollback: a migration whose undo fails,
+// then a failing step. The apply leaves the migration rollback-failed, so
+// control_plans_rollback_incomplete_total reads 1, and the plan still
+// counts once in control_plans_rolledback_total, as before.
+func TestControllerCountsIncompleteRollback(t *testing.T) {
+	hosts := []string{"h1", "h2", "h3"}
+	o, err := vnet.NewStar(hosts, vttif.Config{Alpha: 1, HoldUpdates: 1}, wren.Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(o.Close)
+	snap := migrateVM1Snap(hosts)
+	// Forward migrations succeed; moving a VM back (the undo) fails.
+	moved := map[ethernet.MAC]string{}
+	mig := vnet.MigratorFunc(func(mac ethernet.MAC, from, to string) error {
+		if moved[mac] == from {
+			return errors.New("undo refused")
+		}
+		moved[mac] = to
+		return nil
+	})
+	m := NewMetrics(obs.NewRegistry())
+	c, err := New(Config{
+		Source:  &StaticSource{Snap: snap},
+		Applier: failingTail{inner: OverlayApplier{Overlay: o, Migrator: mig}},
+		Metrics: m,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	res := c.RunCycle()
+	if res.Err == nil || !strings.Contains(res.Err.Error(), "rollback incomplete") {
+		t.Fatalf("cycle err = %v, want an incomplete rollback", res.Err)
+	}
+	var failedUndo bool
+	for _, st := range res.Result.Steps {
+		if st.Step.Op == vnet.OpMigrate && st.Outcome == vnet.StepRollbackFailed {
+			failedUndo = true
+		}
+	}
+	if !failedUndo {
+		t.Fatalf("no migration left rollback-failed: %+v", res.Result.Steps)
+	}
+	if got := m.PlansRollbackIncomplete.Value(); got != 1 {
+		t.Fatalf("control_plans_rollback_incomplete_total = %d, want 1", got)
+	}
+	if got := m.PlansRolledBack.Value(); got != 1 {
+		t.Fatalf("control_plans_rolledback_total = %d, want 1 (unchanged)", got)
 	}
 }
 

@@ -25,15 +25,14 @@ func stamped(from, to string, mbps float64, age time.Duration) coord.Record {
 		At: senseAt.Add(-age).UnixNano()}
 }
 
-// fixedSource is a ViewSource over view (and shards) sensing at senseAt.
-func fixedSource(m *coord.BandwidthMap, view *vnet.GlobalView, shards ...*vnet.GlobalView) *ViewSource {
+// fixedSource is a ViewSource over view sensing at senseAt.
+func fixedSource(m *coord.BandwidthMap, view *vnet.GlobalView) *ViewSource {
 	return &ViewSource{
-		View:   view,
-		Shards: shards,
-		Hosts:  func() []string { return []string{"a", "b"} },
-		VMs:    func() []VMInfo { return nil },
-		Map:    func() *coord.BandwidthMap { return m },
-		now:    func() time.Time { return senseAt },
+		View:  view,
+		Hosts: func() []string { return []string{"a", "b"} },
+		VMs:   func() []VMInfo { return nil },
+		Map:   func() *coord.BandwidthMap { return m },
+		now:   func() time.Time { return senseAt },
 	}
 }
 
@@ -101,14 +100,13 @@ func TestFreshestRuleWhereOrderDisagreed(t *testing.T) {
 // TestSkewedClockCannotPinPair: a record stamped after the sense time
 // counts as stamped at the sense time, for the comparison and for its
 // age. It ties with a record observed at the sense time, and the tie goes
-// to the earlier source, so a clock running an hour ahead neither reads
+// to the store before the map, so a clock running an hour ahead neither reads
 // as an hour fresher than everything else nor gets a negative age.
 func TestSkewedClockCannotPinPair(t *testing.T) {
 	future, fresh := -time.Hour, time.Duration(0)
 	cases := []struct {
 		name   string
 		view   []coord.Record // in the view's store
-		shard  []coord.Record // in a second shard view's store
 		bwmap  []coord.Record
 		bw     float64
 		source string
@@ -121,21 +119,14 @@ func TestSkewedClockCannotPinPair(t *testing.T) {
 			view:  []coord.Record{stamped("a", "b", 50, fresh)},
 			bwmap: []coord.Record{stamped("a", "b", 70, future)},
 			bw:    50, source: "direct"},
-		{name: "future-stamped shard record against a fresh one in the view",
-			view:  []coord.Record{stamped("a", "b", 50, fresh)},
-			shard: []coord.Record{stamped("a", "b", 70, future)},
-			bw:    50, source: "direct"},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
-			view, shard := newView(), newView()
+			view := newView()
 			for _, r := range tc.view {
 				view.Store.Put(r)
 			}
-			for _, r := range tc.shard {
-				shard.Store.Put(r)
-			}
-			src := fixedSource(&coord.BandwidthMap{Entries: tc.bwmap}, view, shard)
+			src := fixedSource(&coord.BandwidthMap{Entries: tc.bwmap}, view)
 			bw, _, prov := src.estimate("a", "b")
 			if bw != tc.bw || prov.Source != tc.source || prov.AgeSec != 0 {
 				t.Fatalf("got %v/%s aged %vs, want %v/%s aged 0s", bw, prov.Source, prov.AgeSec, tc.bw, tc.source)
@@ -182,8 +173,8 @@ func TestActiveRecordOutlivesItsCycle(t *testing.T) {
 }
 
 // TestFreshestRuleDifferential replays seeded random sequences of live
-// reports (into the view and a second shard view), hub-prober active
-// records (into the view) and published map entries, with timestamps
+// reports and hub-prober active records (into the view) and published
+// map entries, with timestamps
 // that tie, lie in the future or are missing, and compares every answer
 // ViewSource gives with the rule written out plainly: the freshest record
 // with a bandwidth for the pair, then for the reverse pair, then the hub
@@ -202,8 +193,8 @@ func TestFreshestRuleDifferential(t *testing.T) {
 	now := senseAt.UnixNano()
 	for seed := int64(1); seed <= 400; seed++ {
 		rng := rand.New(rand.NewSource(seed))
-		views := []*vnet.GlobalView{newView(), newView()}
-		held := []map[coord.Path]coord.Record{{}, {}} // what each view's store should hold
+		view := newView()
+		held := map[coord.Path]coord.Record{} // what the view's store should hold
 		mapped := map[coord.Path]coord.Record{}
 		var log []coord.Record
 		for n := rng.Intn(30); n > 0; n-- {
@@ -221,11 +212,9 @@ func TestFreshestRuleDifferential(t *testing.T) {
 			default: // coarse ages, so ties are common
 				r.At = now - int64(rng.Intn(6))*int64(10*time.Second)
 			}
-			i := 0
 			switch rng.Intn(3) {
 			case 0:
 				r.Kind = "exact"
-				i = rng.Intn(2)
 			case 1:
 				r.Kind = "active"
 			case 2:
@@ -234,10 +223,10 @@ func TestFreshestRuleDifferential(t *testing.T) {
 				log = append(log, r)
 				continue
 			}
-			views[i].Store.Put(r)
+			view.Store.Put(r)
 			log = append(log, r)
-			if cur, ok := held[i][r.Path]; r.At > 0 && (!ok || r.At >= cur.At) {
-				held[i][r.Path] = r
+			if cur, ok := held[r.Path]; r.At > 0 && (!ok || r.At >= cur.At) {
+				held[r.Path] = r
 			}
 		}
 		var m *coord.BandwidthMap
@@ -260,10 +249,8 @@ func TestFreshestRuleDifferential(t *testing.T) {
 					isMap bool
 				}
 				var cands []cand
-				for _, h := range held {
-					if r, ok := h[p]; ok {
-						cands = append(cands, cand{r, false})
-					}
+				if r, ok := held[p]; ok {
+					cands = append(cands, cand{r, false})
 				}
 				if r, ok := mapped[p]; ok {
 					cands = append(cands, cand{r, true})
@@ -323,12 +310,11 @@ func TestFreshestRuleDifferential(t *testing.T) {
 		}
 
 		src := &ViewSource{
-			View:   views[0],
-			Shards: views[1:],
-			Hosts:  func() []string { return hosts },
-			VMs:    func() []VMInfo { return nil },
-			Map:    func() *coord.BandwidthMap { return m },
-			now:    func() time.Time { return senseAt },
+			View:  view,
+			Hosts: func() []string { return hosts },
+			VMs:   func() []VMInfo { return nil },
+			Map:   func() *coord.BandwidthMap { return m },
+			now:   func() time.Time { return senseAt },
 		}
 		for _, from := range hosts {
 			for _, to := range hosts {

@@ -7,17 +7,18 @@ import (
 // Metrics holds the control-loop instruments. A nil *Metrics (and the
 // zero value) is the uninstrumented state; both are safe to use.
 type Metrics struct {
-	Cycles          *obs.Counter   // control_cycles_total
-	CyclesHeld      *obs.Counter   // control_cycles_held_total
-	CycleErrors     *obs.Counter   // control_cycle_errors_total
-	PlansApplied    *obs.Counter   // control_plans_applied_total
-	PlansSkipped    *obs.Counter   // control_plans_skipped_total
-	PlansRolledBack *obs.Counter   // control_plans_rolledback_total
-	Objective       *obs.Gauge     // control_objective
-	SenseSeconds    *obs.Histogram // control_phase_seconds{phase="sense"}
-	DecideSeconds   *obs.Histogram // control_phase_seconds{phase="decide"}
-	ApplySeconds    *obs.Histogram // control_phase_seconds{phase="apply"}
-	CycleSeconds    *obs.Histogram // control_cycle_seconds
+	Cycles                  *obs.Counter   // control_cycles_total
+	CyclesHeld              *obs.Counter   // control_cycles_held_total
+	CycleErrors             *obs.Counter   // control_cycle_errors_total
+	PlansApplied            *obs.Counter   // control_plans_applied_total
+	PlansSkipped            *obs.Counter   // control_plans_skipped_total
+	PlansRolledBack         *obs.Counter   // control_plans_rolledback_total
+	PlansRollbackIncomplete *obs.Counter   // control_plans_rollback_incomplete_total
+	Objective               *obs.Gauge     // control_objective
+	SenseSeconds            *obs.Histogram // control_phase_seconds{phase="sense"}
+	DecideSeconds           *obs.Histogram // control_phase_seconds{phase="decide"}
+	ApplySeconds            *obs.Histogram // control_phase_seconds{phase="apply"}
+	CycleSeconds            *obs.Histogram // control_cycle_seconds
 	// Adaptation latency split by how the decide phase solved: a warm
 	// start from the installed configuration versus a full GH+SA re-solve.
 	AdaptWarmSeconds *obs.Histogram // control_adapt_seconds{mode="warm"}
@@ -49,6 +50,8 @@ func NewMetrics(reg *obs.Registry) *Metrics {
 			"Cycles that produced no applied plan (empty diff, gate, or no demands)."),
 		PlansRolledBack: reg.Counter("control_plans_rolledback_total",
 			"Plans whose partial application was rolled back after a step failed."),
+		PlansRollbackIncomplete: reg.Counter("control_plans_rollback_incomplete_total",
+			"Failed plans whose rollback left a step rollback-failed (an undo errored, so its change may still be installed)."),
 		Objective: reg.Gauge("control_objective",
 			"Objective score of the configuration the controller believes is installed."),
 		SenseSeconds:  phase("sense"),

@@ -103,13 +103,10 @@ type VMInfo struct {
 // the Wren measurements supply the host graph, with the defaults where
 // nothing has been measured yet.
 type ViewSource struct {
+	// View is the hub's global view. On a proxy ring each host reports to
+	// its home proxy only, so a ring member's view holds its own shard; the
+	// published bandwidth map (Map) is the cross-shard route for bandwidth.
 	View *vnet.GlobalView
-	// Shards holds the per-proxy shard views of a mesh overlay
-	// (vnet.NewMesh): each host reports its VTTIF matrix and Wren
-	// measurements to its home shard only, so the controller's global
-	// picture is the aggregate across shards. Nil or empty on a star.
-	// View may also appear in Shards; it is only consulted once.
-	Shards []*vnet.GlobalView
 	// Hosts returns the ordered daemon names (index = topology.NodeID).
 	Hosts func() []string
 	// VMs returns the VMs in vadapt.VMID order with their current hosts.
@@ -159,14 +156,13 @@ func senseTime(now func() time.Time) int64 {
 	return now().UnixNano()
 }
 
-// sense is the per-Snapshot sensing context: the distinct shard views,
-// the published map and the sense time are resolved once, not once per
-// host pair, and every pair is answered by the same rule (freshest).
+// sense is the per-Snapshot sensing context: the record lookup, the
+// published map and the sense time are resolved once, not once per host
+// pair, and every pair is answered by the same rule (freshest).
 type sense struct {
-	views []*vnet.GlobalView
-	// stores are the record lookups: the views' stores, or SOAPSource's
+	// store is the record lookup: the view's store, or SOAPSource's
 	// endpoints.
-	stores []func(coord.Path) (coord.Record, bool)
+	store  func(coord.Path) (coord.Record, bool)
 	bwmap  *coord.BandwidthMap // nil when none has been published
 	hub    string              // "" when there is no star to compose legs through
 	fusion *Fusion
@@ -180,17 +176,10 @@ const (
 	defaultLatencyMs = 1
 )
 
-// newSense resolves the source's configuration for one snapshot: View and
-// Shards with nils and duplicates skipped, and the map if one has been
-// published.
+// newSense resolves the source's configuration for one snapshot: the
+// view's store, and the map if one has been published.
 func (s *ViewSource) newSense() *sense {
-	sn := &sense{hub: cmp.Or(s.Hub, "proxy"), fusion: s.Fusion, now: senseTime(s.now)}
-	for _, v := range append([]*vnet.GlobalView{s.View}, s.Shards...) {
-		if v != nil && !slices.Contains(sn.views, v) {
-			sn.views = append(sn.views, v)
-			sn.stores = append(sn.stores, v.Store.Get)
-		}
-	}
+	sn := &sense{store: s.View.Store.Get, hub: cmp.Or(s.Hub, "proxy"), fusion: s.Fusion, now: senseTime(s.now)}
 	if s.Map != nil {
 		sn.bwmap = s.Map()
 	}
@@ -207,7 +196,7 @@ func (sn *sense) ageSec(at int64) float64 {
 }
 
 // freshest is the one rule for which record answers a pair: of the
-// records with a bandwidth that the stores and the map hold for the
+// records with a bandwidth that the store and the map hold for the
 // demanded direction, the one observed last; with none, the same for the
 // reverse direction. Overlay paths are near-symmetric, so the reverse
 // measurement beats a fabricated default: passive measurement only ever
@@ -215,11 +204,11 @@ func (sn *sense) ageSec(at int64) float64 {
 // on the silent reverse direction makes swapping a VM pair look like a
 // large objective gain when it changes nothing.
 //
-// A tie in At goes to the earlier source — the stores in order, then the
-// map — so records without timestamps are read in that fixed order. A
-// record stamped after the sense time (its reporter's clock runs ahead)
-// counts as stamped at the sense time, for the comparison and for its
-// age, so a skewed clock cannot outrank a measurement just as fresh.
+// A tie in At goes to the store before the map, so records without
+// timestamps are read in that fixed order. A record stamped after the
+// sense time (its reporter's clock runs ahead) counts as stamped at the
+// sense time, for the comparison and for its age, so a skewed clock
+// cannot outrank a measurement just as fresh.
 func (sn *sense) freshest(from, to string) (coord.Record, string, bool) {
 	for i, p := range [2]coord.Path{{From: from, To: to}, {From: to, To: from}} {
 		var best coord.Record
@@ -230,11 +219,9 @@ func (sn *sense) freshest(from, to string) (coord.Record, string, bool) {
 				best, found, fromMap = r, true, isMap
 			}
 		}
-		for _, get := range sn.stores {
-			r, ok := get(p)
-			consider(r, ok, false)
-		}
-		r, ok := sn.bwmap.Lookup(p.From, p.To)
+		r, ok := sn.store(p)
+		consider(r, ok, false)
+		r, ok = sn.bwmap.Lookup(p.From, p.To)
 		consider(r, ok, true)
 		switch {
 		case !found:
@@ -323,22 +310,6 @@ func (sn *sense) hostGraph(names []string) (*topology.Graph, []PathProvenance) {
 	return g, prov
 }
 
-// demandRates merges the VTTIF rate matrices across shard views. Each
-// host pushes its local matrix to one home shard, so a pair normally
-// appears in exactly one shard; when a re-home leaves copies in two, the
-// max wins — summing would double-count the same observed flow.
-func (sn *sense) demandRates() map[vttif.Pair]float64 {
-	out := make(map[vttif.Pair]float64)
-	for _, v := range sn.views {
-		for pair, rate := range v.Agg.Rates() {
-			if rate > out[pair] {
-				out[pair] = rate
-			}
-		}
-	}
-	return out
-}
-
 // Snapshot implements ProblemSource.
 func (s *ViewSource) Snapshot() (*Snapshot, error) {
 	names := s.Hosts()
@@ -369,7 +340,7 @@ func (s *ViewSource) Snapshot() (*Snapshot, error) {
 		macToVM[v.MAC] = vadapt.VMID(i)
 	}
 	var demands []vadapt.Demand
-	for pair, rate := range sn.demandRates() {
+	for pair, rate := range s.View.Agg.Rates() {
 		src, ok1 := macToVM[pair.Src]
 		dst, ok2 := macToVM[pair.Dst]
 		if !ok1 || !ok2 || src == dst {
@@ -380,15 +351,10 @@ func (s *ViewSource) Snapshot() (*Snapshot, error) {
 		})
 	}
 	sortDemands(demands)
-	// Drain the per-shard delta streams: what changed since the last sense,
-	// in the aggregators' own words, for the decide phase's changed set.
-	deltas := []vttif.Delta{}
-	reset := false
-	for _, v := range sn.views {
-		d, r := v.Agg.Deltas()
-		deltas = append(deltas, d...)
-		reset = reset || r
-	}
+	// Drain the delta stream: what changed since the last sense, in the
+	// aggregator's own words, for the decide phase's changed set.
+	d, reset := s.View.Agg.Deltas()
+	deltas := append([]vttif.Delta{}, d...)
 	return &Snapshot{
 		Problem:     &vadapt.Problem{Hosts: g, NumVMs: len(vms), Demands: demands},
 		Hosts:       names,
@@ -450,7 +416,7 @@ func (s *SOAPSource) newSense() *sense {
 			s.clients[i].SetTimeout(cmp.Or(s.Timeout, defaultSOAPTimeout))
 		}
 	}
-	return &sense{stores: []func(coord.Path) (coord.Record, bool){s.lookSOAP}, now: senseTime(s.now)}
+	return &sense{store: s.lookSOAP, now: senseTime(s.now)}
 }
 
 // Snapshot implements ProblemSource.

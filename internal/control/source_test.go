@@ -9,7 +9,6 @@ import (
 	"testing"
 	"time"
 
-	"freemeasure/internal/ethernet"
 	"freemeasure/internal/soap"
 	"freemeasure/internal/vnet"
 	"freemeasure/internal/vttif"
@@ -162,74 +161,6 @@ func TestFusionNilIsInert(t *testing.T) {
 	bw, _, prov := src.estimate("a", "b")
 	if bw != 100 || prov.Source != "default" {
 		t.Fatalf("got %v/%s, want 100/default", bw, prov.Source)
-	}
-}
-
-// TestViewSourceAggregatesShardPaths: in a mesh overlay each host reports
-// to its home shard only; the sense layer must find a measurement no
-// matter which shard holds it, and prefer the freshest copy when a
-// re-home left a stale one behind.
-func TestViewSourceAggregatesShardPaths(t *testing.T) {
-	shard1 := vnet.NewGlobalView(vttif.Config{Alpha: 1, HoldUpdates: 1})
-	shard2 := vnet.NewGlobalView(vttif.Config{Alpha: 1, HoldUpdates: 1})
-	src := &ViewSource{
-		View:   shard1,
-		Shards: []*vnet.GlobalView{shard1, shard2},
-		Hosts:  func() []string { return []string{"a", "b"} },
-		VMs:    func() []VMInfo { return nil },
-	}
-	// Only shard2 holds the measurement.
-	shard2.Store.Put(measured("a", "b", 55, 0))
-	bw, _, prov := src.estimate("a", "b")
-	if bw != 55 || prov.Source != "direct" {
-		t.Fatalf("got %v/%s, want 55/direct from the second shard", bw, prov.Source)
-	}
-	// A stale pre-re-home copy in shard1 must lose to shard2's fresh one.
-	shard1.Store.Put(measured("a", "b", 11, time.Hour))
-	if bw, _, _ := src.estimate("a", "b"); bw != 55 {
-		t.Fatalf("stale shard copy won: got %v, want 55", bw)
-	}
-}
-
-// TestViewSourceMergesShardDemands: the VTTIF matrices of different
-// shards union into one demand list, and a pair duplicated across shards
-// (re-home overlap) is counted once, not summed.
-func TestViewSourceMergesShardDemands(t *testing.T) {
-	shard1 := vnet.NewGlobalView(vttif.Config{Alpha: 1, HoldUpdates: 1})
-	shard2 := vnet.NewGlobalView(vttif.Config{Alpha: 1, HoldUpdates: 1})
-	vm1, vm2, vm3 := ethernet.VMMAC(1), ethernet.VMMAC(2), ethernet.VMMAC(3)
-	src := &ViewSource{
-		View:   shard1,
-		Shards: []*vnet.GlobalView{shard2},
-		Hosts:  func() []string { return []string{"a", "b", "c"} },
-		VMs: func() []VMInfo {
-			return []VMInfo{{MAC: vm1, Host: "a"}, {MAC: vm2, Host: "b"}, {MAC: vm3, Host: "c"}}
-		},
-	}
-	p12 := vttif.Pair{Src: vm1, Dst: vm2}
-	p23 := vttif.Pair{Src: vm2, Dst: vm3}
-	shard1.Agg.Update("a", map[vttif.Pair]uint64{p12: 1000}, 1)
-	shard2.Agg.Update("b", map[vttif.Pair]uint64{p23: 2000}, 1)
-	// The duplicated pair: shard2 still carries a smaller, older rate.
-	shard2.Agg.Update("a2", map[vttif.Pair]uint64{p12: 400}, 1)
-
-	snap, err := src.Snapshot()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(snap.Problem.Demands) != 2 {
-		t.Fatalf("demands = %+v, want the two distinct pairs", snap.Problem.Demands)
-	}
-	byPair := map[[2]int]float64{}
-	for _, d := range snap.Problem.Demands {
-		byPair[[2]int{int(d.Src), int(d.Dst)}] = d.Rate
-	}
-	// Max across shards, not sum: 1000 B/s -> 0.008 Mbit/s.
-	if got := byPair[[2]int{0, 1}]; got != 1000*8/1e6 {
-		t.Fatalf("vm1->vm2 rate = %v, want the max shard rate 0.008", got)
-	}
-	if got := byPair[[2]int{1, 2}]; got != 2000*8/1e6 {
-		t.Fatalf("vm2->vm3 rate = %v, want 0.016", got)
 	}
 }
 

@@ -27,9 +27,6 @@ func New(id int) *VM {
 	return &VM{id: id, mac: ethernet.VMMAC(id)}
 }
 
-// ID returns the VM's number.
-func (v *VM) ID() int { return v.id }
-
 // MAC returns the VM's hardware address.
 func (v *VM) MAC() ethernet.MAC { return v.mac }
 

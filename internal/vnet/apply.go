@@ -30,11 +30,6 @@ const (
 	// OpMigrate moves the VM with MAC from daemon A to daemon B via the
 	// plan's Migrator.
 	OpMigrate
-	// OpSetProxies transitions the overlay to a new proxy-ring membership
-	// (chosen from the proxies built at assembly time): a fresh ring on
-	// every member, hosts re-homed to their new assignments. Undo restores
-	// the previous membership.
-	OpSetProxies
 )
 
 // String names the operation.
@@ -50,8 +45,6 @@ func (op StepOp) String() string {
 		return "remove-rule"
 	case OpMigrate:
 		return "migrate"
-	case OpSetProxies:
-		return "set-proxies"
 	default:
 		return fmt.Sprintf("op(%d)", int(op))
 	}
@@ -64,7 +57,6 @@ type Step struct {
 	Host    string       // rule site
 	NextHop string       // rule next hop
 	MAC     ethernet.MAC // rule destination or migrating VM
-	Proxies []string     // OpSetProxies: the new ring membership
 }
 
 // String renders the step for logs.
@@ -78,8 +70,6 @@ func (s Step) String() string {
 		return fmt.Sprintf("%s at %s: %s", s.Op, s.Host, s.MAC)
 	case OpMigrate:
 		return fmt.Sprintf("%s %s: %s -> %s", s.Op, s.MAC, s.A, s.B)
-	case OpSetProxies:
-		return fmt.Sprintf("%s %v", s.Op, s.Proxies)
 	default:
 		return s.Op.String()
 	}
@@ -98,7 +88,7 @@ type Plan struct {
 
 // Migrator executes VM attachment moves on behalf of Overlay.Apply. The
 // overlay cannot move VMs itself — it only sees MAC-addressed ports — so
-// whoever owns the VM objects (internal/core, internal/control, a test)
+// whoever owns the VM objects (an example, a benchmark scenario, a test)
 // supplies the mechanism. Migrate must be reversible: Apply calls it with
 // the endpoints swapped to roll a completed migration back.
 type Migrator interface {
@@ -189,7 +179,7 @@ func (o *Overlay) Apply(plan Plan, mig Migrator) (ApplyResult, error) {
 	}
 	for i, s := range plan.Steps {
 		sp := o.stepSpan(plan.Trace, s)
-		changed, undo, err := o.applyStep(s, mig, plan.Trace)
+		changed, undo, err := o.applyStep(s, mig)
 		if err != nil {
 			res.Steps[i].Outcome = StepFailed
 			res.Steps[i].Err = err.Error()
@@ -252,8 +242,6 @@ func (o *Overlay) stepDaemon(s Step) *Daemon {
 		n = o.Member(s.Host)
 	case OpMigrate:
 		n = o.Member(s.B) // the receiving host ends up owning the VM
-	case OpSetProxies:
-		n = o.Proxy // per-member ring-swap events carry the rest
 	}
 	if n == nil {
 		return nil
@@ -262,9 +250,8 @@ func (o *Overlay) stepDaemon(s Step) *Daemon {
 }
 
 // applyStep executes one step, returning whether it changed anything and
-// the inverse action for rollback. ctx travels with membership changes so
-// every member's ring-transition events join the plan's trace.
-func (o *Overlay) applyStep(s Step, mig Migrator, ctx obs.TraceContext) (changed bool, undo func() error, err error) {
+// the inverse action for rollback.
+func (o *Overlay) applyStep(s Step, mig Migrator) (changed bool, undo func() error, err error) {
 	switch s.Op {
 	case OpAddLink:
 		na, nb := o.Node(s.A), o.Node(s.B)
@@ -331,39 +318,7 @@ func (o *Overlay) applyStep(s Step, mig Migrator, ctx obs.TraceContext) (changed
 		}
 		return true, func() error { return mig.Migrate(s.MAC, s.B, s.A) }, nil
 
-	case OpSetProxies:
-		if o.Ring != nil && sameMembers(o.Ring.Members(), s.Proxies) {
-			return false, nil, nil
-		}
-		prev, err := o.SetProxySetCtx(ctx, s.Proxies)
-		if err != nil {
-			return false, nil, err
-		}
-		if prev == nil {
-			// No previous ring to restore (star-era overlay): not undoable,
-			// but also unreachable from NewMesh, which always installs one.
-			return true, nil, nil
-		}
-		return true, func() error { _, err := o.SetProxySetCtx(ctx, prev); return err }, nil
-
 	default:
 		return false, nil, fmt.Errorf("unknown op %v", s.Op)
 	}
-}
-
-// sameMembers reports set equality of two member lists (order-free).
-func sameMembers(a, b []string) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	set := make(map[string]bool, len(a))
-	for _, m := range a {
-		set[m] = true
-	}
-	for _, m := range b {
-		if !set[m] {
-			return false
-		}
-	}
-	return true
 }

@@ -50,16 +50,8 @@ type ringRegMsg struct {
 // SetProxyRing installs (or clears, with nil) the proxy ring in the
 // daemon's forwarding snapshot and re-announces local VMs to their
 // owners. Installing a ring with the same membership is a no-op, so
-// transactional re-applies are idempotent.
+// repeated installs are idempotent.
 func (d *Daemon) SetProxyRing(r *ProxyRing) {
-	d.SetProxyRingCtx(obs.TraceContext{}, r)
-}
-
-// SetProxyRingCtx is SetProxyRing inside a distributed trace: the
-// ring-swap flight event and the registrations pushed to the new owners
-// are recorded under ctx, so a membership change driven by a controller
-// plan stays correlated across every node it touched.
-func (d *Daemon) SetProxyRingCtx(ctx obs.TraceContext, r *ProxyRing) {
 	d.mu.Lock()
 	prev := d.fwd.Load().ring
 	if prev == r || (prev != nil && r != nil && prev.version == r.version) {
@@ -69,8 +61,8 @@ func (d *Daemon) SetProxyRingCtx(ctx obs.TraceContext, r *ProxyRing) {
 	d.swapFwdLocked(func(t *fwdTable) { t.ring = r })
 	fl, log := d.flight, d.log
 	d.mu.Unlock()
-	d.ringChanged(ctx, prev, r, fl, log, "ring-swap")
-	d.announceAll(ctx)
+	d.ringChanged(obs.TraceContext{}, prev, r, fl, log, "ring-swap")
+	d.announceAll(obs.TraceContext{})
 }
 
 // Ring returns the currently installed proxy ring (nil on a pure star).
@@ -287,18 +279,8 @@ func NewMesh(proxyNames, hostNames []string, vttifCfg vttif.Config, wrenCfg wren
 		return nil, err
 	}
 	o := &Overlay{stopCh: make(chan struct{}), Ring: ring}
-	mk := func(name string) (*Node, error) {
-		d := NewDaemon(name)
-		addr, err := d.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		m := wren.NewMonitor(name, wrenCfg)
-		d.SetWrenBatchFeed(m.FeedAll)
-		return &Node{Daemon: d, Wren: m, addr: addr}, nil
-	}
 	for _, name := range proxyNames {
-		p, err := mk(name)
+		p, err := newNode(name, wrenCfg)
 		if err != nil {
 			o.Close()
 			return nil, err
@@ -323,7 +305,7 @@ func NewMesh(proxyNames, hostNames []string, vttifCfg vttif.Config, wrenCfg wren
 		p.Daemon.EnableRingRehome(nil)
 	}
 	for _, name := range hostNames {
-		n, err := mk(name)
+		n, err := newNode(name, wrenCfg)
 		if err != nil {
 			o.Close()
 			return nil, err
@@ -358,55 +340,6 @@ func (o *Overlay) Member(name string) *Node {
 		return n
 	}
 	return o.ProxyNode(name)
-}
-
-// SetProxySet transitions the overlay to a new proxy membership chosen
-// from the proxies built at NewMesh time: a fresh ring over names is
-// installed on every member and every host's default route follows its
-// new home assignment. It is the engine behind the OpSetProxies plan
-// step and returns the previous member list for the step's undo.
-func (o *Overlay) SetProxySet(names []string) ([]string, error) {
-	return o.SetProxySetCtx(obs.TraceContext{}, names)
-}
-
-// SetProxySetCtx is SetProxySet inside a distributed trace: every
-// member's ring-swap event and the re-registrations the swap triggers are
-// recorded under ctx (the plan trace, for OpSetProxies steps).
-func (o *Overlay) SetProxySetCtx(ctx obs.TraceContext, names []string) ([]string, error) {
-	for _, name := range names {
-		if o.ProxyNode(name) == nil {
-			return nil, fmt.Errorf("vnet: unknown proxy %q", name)
-		}
-	}
-	ring, err := NewProxyRing(names, 0)
-	if err != nil {
-		return nil, err
-	}
-	var prev []string
-	if o.Ring != nil {
-		prev = append(prev, o.Ring.Members()...)
-	}
-	o.Ring = ring
-	for _, p := range o.Proxies {
-		p.Daemon.SetProxyRingCtx(ctx, ring)
-	}
-	for _, n := range o.Nodes {
-		n.Daemon.SetProxyRingCtx(ctx, ring)
-		n.Daemon.SetDefaultRoute(ring.HomeProxy(n.Daemon.Name()))
-	}
-	return prev, nil
-}
-
-// ShardViews pairs each proxy name with its shard view, for control-plane
-// aggregation (control.ViewSource.Shards).
-func (o *Overlay) ShardViews() map[string]*GlobalView {
-	out := make(map[string]*GlobalView, len(o.Views))
-	for i, p := range o.Proxies {
-		if i < len(o.Views) {
-			out[p.Daemon.Name()] = o.Views[i]
-		}
-	}
-	return out
 }
 
 // proxySelfMeasure folds one proxy's own Wren observations into its shard

@@ -75,7 +75,7 @@ func NewMetrics(reg *obs.Registry) Metrics {
 		WrenFeedDropped: reg.Counter("wren_feed_ring_dropped_total",
 			"Capture records evicted from the Wren feed ring because the analyzer fell behind."),
 		RingRebalances: reg.Counter("vnet_proxy_ring_rebalances_total",
-			"Proxy-ring membership changes applied to the forwarding snapshot (re-homes and proxy-set transactions)."),
+			"Proxy-ring membership changes applied to the forwarding snapshot after its first ring (re-homes and ring re-installs)."),
 		RingRegistrations: reg.Counter("vnet_proxy_ring_registrations_total",
 			"Ring registration entries applied at this daemon as a slice owner (adds and removes)."),
 	}

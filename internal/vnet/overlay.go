@@ -137,17 +137,7 @@ type Overlay struct {
 // unknown destinations to it, with a Wren monitor observing its links.
 func NewStar(names []string, vttifCfg vttif.Config, wrenCfg wren.Config) (*Overlay, error) {
 	o := &Overlay{View: NewGlobalView(vttifCfg), stopCh: make(chan struct{})}
-	mk := func(name string) (*Node, error) {
-		d := NewDaemon(name)
-		addr, err := d.Listen("127.0.0.1:0")
-		if err != nil {
-			return nil, err
-		}
-		m := wren.NewMonitor(name, wrenCfg)
-		d.SetWrenBatchFeed(m.FeedAll)
-		return &Node{Daemon: d, Wren: m, addr: addr}, nil
-	}
-	proxy, err := mk("proxy")
+	proxy, err := newNode("proxy", wrenCfg)
 	if err != nil {
 		return nil, err
 	}
@@ -156,7 +146,7 @@ func NewStar(names []string, vttifCfg vttif.Config, wrenCfg wren.Config) (*Overl
 	o.Proxies = []*Node{proxy}
 	o.Views = []*GlobalView{o.View}
 	for _, name := range names {
-		n, err := mk(name)
+		n, err := newNode(name, wrenCfg)
 		if err != nil {
 			o.Close()
 			return nil, err
@@ -169,6 +159,19 @@ func NewStar(names []string, vttifCfg vttif.Config, wrenCfg wren.Config) (*Overl
 		o.Nodes = append(o.Nodes, n)
 	}
 	return o, nil
+}
+
+// newNode starts one overlay member: a daemon listening on 127.0.0.1 with
+// a Wren monitor fed from its links.
+func newNode(name string, wrenCfg wren.Config) (*Node, error) {
+	d := NewDaemon(name)
+	addr, err := d.Listen("127.0.0.1:0")
+	if err != nil {
+		return nil, err
+	}
+	m := wren.NewMonitor(name, wrenCfg)
+	d.SetWrenBatchFeed(m.FeedAll)
+	return &Node{Daemon: d, Wren: m, addr: addr}, nil
 }
 
 // Node returns the named non-proxy node.

@@ -67,15 +67,9 @@ func TestCoordEndToEnd(t *testing.T) {
 	macs := []ethernet.MAC{ethernet.VMMAC(0), ethernet.VMMAC(1), ethernet.VMMAC(2)}
 	hostOf := map[ethernet.MAC]string{macs[0]: "h1", macs[1]: "h2", macs[2]: "h3"}
 
-	// Seed traffic into the shard views (each host reports to its home
-	// shard).
-	shardViews := o.ShardViews()
-	var shards []*vnet.GlobalView
-	for _, v := range shardViews {
-		shards = append(shards, v)
-	}
-	shards[0].Agg.Update("h1", map[vttif.Pair]uint64{{Src: macs[0], Dst: macs[1]}: 60_000}, 1)
-	shards[1%len(shards)].Agg.Update("h2", map[vttif.Pair]uint64{{Src: macs[1], Dst: macs[2]}: 40_000}, 1)
+	// Seed traffic into the view the controller senses.
+	o.View.Agg.Update("h1", map[vttif.Pair]uint64{{Src: macs[0], Dst: macs[1]}: 60_000}, 1)
+	o.View.Agg.Update("h2", map[vttif.Pair]uint64{{Src: macs[1], Dst: macs[2]}: 40_000}, 1)
 
 	// Deterministic "measurements" of every host path: each has a known
 	// bandwidth the provenance assertions can check against.
@@ -100,8 +94,8 @@ func TestCoordEndToEnd(t *testing.T) {
 	var fetched atomic.Pointer[coord.BandwidthMap]
 	src := &coordSource{
 		inner: &control.ViewSource{
-			Shards: shards,
-			Hosts:  func() []string { return hosts },
+			View:  o.View,
+			Hosts: func() []string { return hosts },
 			VMs: func() []control.VMInfo {
 				out := make([]control.VMInfo, len(macs))
 				for i, m := range macs {
